@@ -445,3 +445,82 @@ class TestSimilarityMatrix:
         model = _moee(rng)
         with pytest.raises(TypeError, match="ce parameter set"):
             md.ce_score(_text(rng), _clip(rng).streams, model)
+
+
+# -- randomized batched-vs-reference property --------------------------
+
+_REFS = {"moee": ref_moee_score, "ce": ref_ce_score, "mmt": ref_mmt_score}
+
+
+def _random_model(arch, rng):
+    experts = ("p", "q", "r")
+    dims = {"p": 4, "q": 3, "r": 5}
+    if arch == "mmt":
+        cfg = md.MmtConfig(experts, dims, text_dim=5, model_dim=8, layers=2,
+                           heads=2, ff_dim=10, max_frames=12)
+        return md.MmtModel(cfg, rng), 5
+    kw = dict(word_dim=4, text_clusters=3, text_ghost=1, audio_clusters=2,
+              audio_ghost=1, joint_dim=5)
+    if arch == "ce":
+        return md.CeModel(md.CeConfig(experts, dims, gate_width=4, **kw), rng), 4
+    return md.MoeeModel(md.MoeeConfig(experts, dims, **kw), rng), 4
+
+
+def _random_caption(rng, dim, caption_id, max_tokens, oov=False):
+    n = int(rng.integers(1, max_tokens + 1))
+    mask = np.zeros(n, dtype=bool) if oov else rng.random(n) > 0.3
+    tokens = rng.standard_normal((n, dim)) * mask[:, None]
+    return TextEmbedding(caption_id, tokens, mask)
+
+
+def _random_clip(rng, model, sample_id, max_frames):
+    experts = model.cfg.experts
+    present = [e for e in experts if rng.random() < 0.7]
+    if not present:
+        present = [experts[int(rng.integers(len(experts)))]]
+    return AudioClip(sample_id, {
+        e: rng.standard_normal((int(rng.integers(1, max_frames + 1)),
+                                model.cfg.expert_dims[e]))
+        for e in present})
+
+
+def _refs(model, arch, texts, clips):
+    ref = _REFS[arch]
+    return np.array([[ref(model, t.token_matrix, t.mask, c.streams)
+                      for c in clips] for t in texts])
+
+
+@pytest.mark.parametrize("arch", ["moee", "ce", "mmt"])
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_scores_match_reference_and_ignore_batchmates(arch, seed):
+    """Every entry equals the plain-numpy reference, and a caption's row and
+    a clip's column are bitwise unchanged when their batchmates change, the
+    padded lengths with them."""
+    rng = np.random.default_rng(900 + seed)
+    model, dim = _random_model(arch, rng)
+    b = int(rng.integers(2, 10))
+    texts = [_random_caption(rng, dim, f"c{i}", 6, oov=(i == 0))
+             for i in range(b)]
+    texts = [texts[i] for i in rng.permutation(b)]
+    clips = [_random_clip(rng, model, f"a{j}", 6) for j in range(b)]
+    sim = md.similarity_matrix(model, texts, clips)
+    want = np.clip(_refs(model, arch, texts, clips), -1.0, 1.0)
+    np.testing.assert_allclose(sim.values, want, rtol=0, atol=1e-9)
+
+    # new batchmates, longer than any item of the first batch, in new order
+    keep = rng.choice(b, size=int(rng.integers(1, b)), replace=False)
+    n_new = int(rng.integers(max(1, 2 - keep.size), 4))
+    fresh_clips = [_random_clip(rng, model, f"n{j}", 10) for j in range(n_new)]
+    fresh_texts = [_random_caption(rng, dim, f"m{i}", 10) for i in range(n_new)]
+    clips2 = [clips[k] for k in keep] + fresh_clips
+    texts2 = [texts[k] for k in keep] + fresh_texts
+    order = rng.permutation(len(clips2))
+    clips2 = [clips2[k] for k in order]
+    texts2 = [texts2[k] for k in order]
+
+    cols = md.similarity_matrix(model, texts, clips2).values
+    rows = md.similarity_matrix(model, texts2, clips).values
+    for pos, k in enumerate(order):
+        if k < keep.size:
+            np.testing.assert_array_equal(cols[:, pos], sim.values[:, keep[k]])
+            np.testing.assert_array_equal(rows[pos], sim.values[keep[k]])
