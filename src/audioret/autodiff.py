@@ -229,20 +229,159 @@ def matmul(a, b) -> Tensor:
 
 
 def pairwise_inner(a, b) -> Tensor:
-    """s[i, j] = <a_i, b_j> with each entry reduced independently.
+    """s[i, j] = <a_i, b_j>, or s[i, j, e] = <a_ie, b_je> for 3-D operands,
+    with each entry reduced independently.
 
-    Uses einsum without optimization so the reduction for entry (i, j)
-    never depends on which other rows are in the batch.
+    The forward pass uses einsum without optimization so the reduction for
+    an entry never depends on which other rows are in the batch.
     """
     a, b = as_tensor(a), as_tensor(b)
-    data = np.einsum("ie,je->ij", a.data, b.data, optimize=False)
+    spec = "ie,je->ij" if a.ndim == 2 else "ied,jed->ije"
+    data = np.einsum(spec, a.data, b.data, optimize=False)
 
     def backward(g):
-        ga = np.einsum("ij,je->ie", g, b.data, optimize=False)
-        gb = np.einsum("ij,ie->je", g, a.data, optimize=False)
-        return ga, gb
+        if a.ndim == 2:
+            return g @ b.data, g.T @ a.data
+        per_expert = g.transpose(2, 0, 1)  # E x Bt x Ba
+        ga = per_expert @ b.data.transpose(1, 0, 2)
+        gb = per_expert.transpose(0, 2, 1) @ a.data.transpose(1, 0, 2)
+        return ga.transpose(1, 0, 2), gb.transpose(1, 0, 2)
 
     return _make(data, (a, b), backward)
+
+
+# rows per GEMM call in stacked_matmul's forward pass
+ROW_BLOCK = 32
+
+
+def stacked_matmul(x, w) -> Tensor:
+    """x @ w for every row of x (any leading shape, last axis K) with a
+    K x N matrix w.
+
+    The forward pass runs the rows through GEMMs of exactly ROW_BLOCK rows
+    (zero-padding the last), so a row's result is bitwise the same whatever
+    rows share its batch and wherever it sits; a GEMM's own per-row result
+    changes with its row count. The backward pass is one GEMM per operand.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    if w.ndim != 2 or x.shape[-1] != w.shape[0]:
+        raise ValueError(f"stacked_matmul: {x.shape} rows against {w.shape}")
+    rows = np.ascontiguousarray(x.data.reshape(-1, w.shape[0]))
+    n = rows.shape[0]
+    out = np.empty((n, w.shape[1]))
+    full = n - n % ROW_BLOCK
+    for start in range(0, full, ROW_BLOCK):
+        stop = start + ROW_BLOCK
+        np.matmul(rows[start:stop], w.data, out=out[start:stop])
+    if full < n:
+        tail = np.zeros((ROW_BLOCK, rows.shape[1]))
+        tail[: n - full] = rows[full:]
+        out[full:] = (tail @ w.data)[: n - full]
+    data = out.reshape(x.shape[:-1] + (w.shape[1],))
+
+    def backward(g):
+        g2 = g.reshape(n, w.shape[1])
+        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        return gx, rows.T @ g2
+
+    return _make(data, (x, w), backward)
+
+
+def _segment_bounds(offsets) -> list[tuple[int, int]]:
+    offsets = np.asarray(offsets, dtype=np.intp)
+    return list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
+
+
+def segment_matmul(a, x, offsets) -> Tensor:
+    """out[s] = a[rows of s]^T @ x[rows of s] for row segments
+    s = offsets[i]:offsets[i + 1] of an N x K and an N x D operand.
+
+    Each segment is one GEMM over its own rows only, so its result never
+    depends on the other segments or on padding. Shape (S, K, D).
+    """
+    a, x = as_tensor(a), as_tensor(x)
+    bounds = _segment_bounds(offsets)
+    data = np.zeros((len(bounds), a.shape[1], x.shape[1]))
+    for s, (lo, hi) in enumerate(bounds):
+        data[s] = a.data[lo:hi].T @ x.data[lo:hi]
+
+    def backward(g):
+        ga = np.empty_like(a.data)
+        gx = np.empty_like(x.data) if x.requires_grad else None
+        for s, (lo, hi) in enumerate(bounds):
+            ga[lo:hi] = x.data[lo:hi] @ g[s].T
+            if gx is not None:
+                gx[lo:hi] = a.data[lo:hi] @ g[s]
+        return ga, gx
+
+    return _make(data, (a, x), backward)
+
+
+def segment_sum(a, offsets) -> Tensor:
+    """Sum the rows of each segment offsets[i]:offsets[i + 1], in row order.
+
+    Each segment's rows are added one after another, so a segment's sum
+    depends on its own rows only; an empty segment sums to zero.
+    """
+    a = as_tensor(a)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    lengths = np.diff(offsets)
+    data = np.zeros((lengths.size,) + a.shape[1:])
+    filled = lengths > 0
+    if filled.any():
+        data[filled] = np.add.reduceat(a.data, offsets[:-1][filled], axis=0)
+
+    def backward(g):
+        return (np.repeat(g, lengths, axis=0),)
+
+    return _make(data, (a,), backward)
+
+
+def segment_attention(q, k, v, offsets, heads: int,
+                      sink: list | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention inside each row segment.
+
+    q, k and v are N x D; segment s = offsets[i]:offsets[i + 1] attends
+    only to itself, head h using columns h*D/heads:(h+1)*D/heads. Each
+    segment's attention matrices are appended to `sink` when given.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    n, dim = q.shape
+    hd = dim // heads
+    scale = 1.0 / np.sqrt(hd)
+    bounds = _segment_bounds(offsets)
+
+    def split(m, lo, hi):  # (hi - lo, dim) -> (heads, hi - lo, hd)
+        return m[lo:hi].reshape(hi - lo, heads, hd).transpose(1, 0, 2)
+
+    def merge(m):
+        return m.transpose(1, 0, 2).reshape(-1, dim)
+
+    data = np.empty((n, dim))
+    probs = []
+    for lo, hi in bounds:
+        keys = split(k.data, lo, hi).transpose(0, 2, 1)
+        scores = (split(q.data, lo, hi) @ keys) * scale
+        e = np.exp(scores - scores.max(axis=2, keepdims=True))
+        p = e / e.sum(axis=2, keepdims=True)
+        probs.append(p)
+        data[lo:hi] = merge(p @ split(v.data, lo, hi))
+        if sink is not None:
+            sink.extend(p[h].copy() for h in range(heads))
+
+    def backward(g):
+        gq, gk, gv = (np.empty((n, dim)) for _ in range(3))
+        for (lo, hi), p in zip(bounds, probs):
+            gh = split(g, lo, hi)
+            qh, kh, vh = (split(m.data, lo, hi) for m in (q, k, v))
+            dp = gh @ vh.transpose(0, 2, 1)
+            ds = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * scale
+            gq[lo:hi] = merge(ds @ kh)
+            gk[lo:hi] = merge(ds.transpose(0, 2, 1) @ qh)
+            gv[lo:hi] = merge(p.transpose(0, 2, 1) @ gh)
+        return gq, gk, gv
+
+    return _make(data, (q, k, v), backward)
 
 
 # -- shape ops ---------------------------------------------------------
@@ -303,13 +442,13 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     return _make(data, parts, backward)
 
 
-def stack_rows(tensors: Sequence) -> Tensor:
-    """Stack 1-D tensors of equal length into a matrix (one per row)."""
+def stack(tensors: Sequence, axis: int = 0) -> Tensor:
+    """Stack equal-shape tensors along a new axis."""
     parts = [as_tensor(t) for t in tensors]
-    data = np.stack([p.data for p in parts], axis=0)
+    data = np.stack([p.data for p in parts], axis=axis)
 
     def backward(g):
-        return tuple(g[i] for i in range(len(parts)))
+        return tuple(np.moveaxis(g, axis, 0))
 
     return _make(data, parts, backward)
 
@@ -357,11 +496,8 @@ def relu(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
     x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    ex = np.exp(-np.abs(x))  # never overflows
+    out = np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
     def backward(g):
         return (g * out * (1.0 - out),)
@@ -459,9 +595,10 @@ def l2_normalize(a, eps: float = EPS) -> Tensor:
 
 
 def row_normalize(a, eps: float = EPS) -> Tensor:
-    """Normalize each row of a matrix to unit length (eps-guarded)."""
+    """Normalize every vector along the last axis to unit length
+    (eps-guarded)."""
     a = as_tensor(a)
-    norms = sqrt(tsum(square(a), axis=1, keepdims=True))
+    norms = sqrt(tsum(square(a), axis=-1, keepdims=True))
     return div(a, clip_min(norms, eps))
 
 

@@ -26,15 +26,20 @@ from . import training as tr
 from .corpus import (DATASET_NAMES, Corpus, load_benchmark)
 from .evaluation import (MetricsReport, ResultRow, SeedAggregate,
                          a2t_ground_truth, aggregate_seeds, compute_metrics,
-                         render_csv, render_table, t2a_ground_truth)
+                         render_csv, render_table, report_from_dict,
+                         report_to_dict, t2a_ground_truth)
 from .experts import (DEFAULT_REGISTRY, WordTableTextSource, load_word_table,
                       open_feature_store)
-from .models.similarity import combine_scores
+from .models.similarity import combine_scores, encode_clips, similarity_matrix
 from .synthetic import make_synthetic_benchmark
 from .training import Checkpoint, LossConfig, TrainConfig
 
 FEATURES_ENV = "AUDIORET_FEATURES"
 DATA_ENV = "AUDIORET_DATA_ROOT"
+
+# Bumped whenever a change alters the floats training produces, so cached
+# run artifacts from earlier numerics are never served for a new run.
+NUMERICS_VERSION = 2
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
@@ -134,6 +139,7 @@ class ExperimentConfig:
             "dataset": self.dataset,
             "arch": self.architecture,
             "experts": ",".join(self.experts),
+            "numerics": repr(NUMERICS_VERSION),
         }
         for section, table in (("train", self.train), ("loss", self.loss),
                                ("model", self.model)):
@@ -264,7 +270,6 @@ def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle,
                                      bundle.text_source,
                                      tuple(model.cfg.experts),
                                      ckpt.train_config)
-    from .models.similarity import similarity_matrix
     sim = similarity_matrix(model, list(texts.values()), list(clips.values()))
     split_corpus = Corpus(
         bundle.corpus.name,
@@ -273,17 +278,6 @@ def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle,
     return {"t2a": compute_metrics(sim, t2a_ground_truth(split_corpus)),
             "a2t": compute_metrics(sim.transposed(),
                                    a2t_ground_truth(split_corpus))}
-
-
-def _report_to_dict(rep: MetricsReport) -> dict:
-    return rep.by_column() | {"pool_size": rep.pool_size,
-                              "query_count": rep.query_count}
-
-
-def _report_from_dict(d: dict) -> MetricsReport:
-    return MetricsReport(d["R@1"], d["R@5"], d["R@10"], d["R@50"], d["medR"],
-                         d["meanR"], pool_size=int(d["pool_size"]),
-                         query_count=int(d["query_count"]))
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -334,10 +328,11 @@ def run_single(cfg: ExperimentConfig, bundle: DataBundle, seed: int,
     reports = evaluate_checkpoint(ckpt, bundle)
     payload = {
         "seed": seed,
+        "numerics": NUMERICS_VERSION,
         "selection_score": ckpt.selection_score,
         "best_step": ckpt.best_step,
-        "t2a": _report_to_dict(reports["t2a"]),
-        "a2t": _report_to_dict(reports["a2t"]),
+        "t2a": report_to_dict(reports["t2a"]),
+        "a2t": report_to_dict(reports["a2t"]),
         "log": ckpt.log_lines,
     }
     run_dir.store_seed(seed, payload)
@@ -347,7 +342,7 @@ def run_single(cfg: ExperimentConfig, bundle: DataBundle, seed: int,
 def _aggregate_artifacts(artifacts: list[dict]) -> dict[str, MetricsReport | SeedAggregate]:
     out = {}
     for direction in ("t2a", "a2t"):
-        reports = [_report_from_dict(a[direction]) for a in artifacts]
+        reports = [report_from_dict(a[direction]) for a in artifacts]
         out[direction] = reports[0] if len(reports) == 1 else aggregate_seeds(reports)
     return out
 
@@ -526,9 +521,7 @@ class Searcher:
         _, _, clips = tr.stage_split(corpus, split, store, text_source,
                                      experts, ckpt.train_config)
         self.pool_ids = sorted(clips)
-        with ad.no_grad():
-            self.audio_sides = [self.model.encode_audio(clips[sid].streams)
-                                for sid in self.pool_ids]
+        self.pool = encode_clips(self.model, [clips[sid] for sid in self.pool_ids])
 
     def search(self, query: str, top_k: int = 10) -> list[tuple[str, float]]:
         if not query or not query.strip():
@@ -539,9 +532,7 @@ class Searcher:
         probe = CaptionRecord("query", "query", query)
         emb = self.text_source.tokens_for(probe)
         with ad.no_grad():
-            text_side = self.model.encode_text(emb.token_matrix, emb.mask)
-            scores = combine_scores(tuple(self.model.cfg.experts), [text_side],
-                                    self.audio_sides)
+            scores = combine_scores(self.model.encode_text([emb]), self.pool)
         values = np.clip(scores.data[0], -1.0, 1.0)
         ids = np.asarray(self.pool_ids)
         order = np.lexsort((ids, -values))[:min(top_k, len(ids))]

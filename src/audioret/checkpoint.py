@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluation import MetricsReport
+from .evaluation import report_from_dict, report_to_dict
 from .experts import MAGIC
 from .training import Checkpoint, TrainConfig
 
@@ -56,9 +56,7 @@ def save_checkpoint(ckpt: Checkpoint, path: Path | str) -> Path:
         "seed": ckpt.train_config.seed,
         "selection_score": ckpt.selection_score,
         "best_step": ckpt.best_step,
-        "history": [[step, rep.by_column() | {
-            "pool_size": rep.pool_size, "query_count": rep.query_count}]
-            for step, rep in ckpt.history],
+        "history": [[step, report_to_dict(rep)] for step, rep in ckpt.history],
         "tensors": {name: list(arr.shape) for name, arr in ckpt.params.items()},
     }
     tmp = path.with_name(path.name + ".tmp")
@@ -69,12 +67,6 @@ def save_checkpoint(ckpt: Checkpoint, path: Path | str) -> Path:
             archive.writestr(f"params/{name}.mat", _encode_matrix(arr))
     tmp.replace(path)
     return path
-
-
-def _report_from_dict(d: dict) -> MetricsReport:
-    return MetricsReport(d["R@1"], d["R@5"], d["R@10"], d["R@50"],
-                         d["medR"], d["meanR"], pool_size=int(d["pool_size"]),
-                         query_count=int(d["query_count"]))
 
 
 def load_checkpoint(path: Path | str) -> Checkpoint:
@@ -101,7 +93,7 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
     cfg_dict["frame_caps"] = {k: int(v)
                               for k, v in (cfg_dict.get("frame_caps") or {}).items()}
     train_config = TrainConfig(**cfg_dict)
-    history = [(int(step), _report_from_dict(rep))
+    history = [(int(step), report_from_dict(rep))
                for step, rep in manifest["history"]]
     return Checkpoint(manifest["architecture"], manifest["model_config"],
                       params, train_config, history,

@@ -99,14 +99,6 @@ class Corpus:
         return sorted((c for c in self.captions if c.sample_id in members),
                       key=lambda c: c.caption_id)
 
-    def captions_by_sample(self) -> dict[str, list[CaptionRecord]]:
-        out: dict[str, list[CaptionRecord]] = {}
-        for cap in self.captions:
-            out.setdefault(cap.sample_id, []).append(cap)
-        for caps in out.values():
-            caps.sort(key=lambda c: c.caption_id)
-        return out
-
 
 @dataclass
 class SplitSpec:

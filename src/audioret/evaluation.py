@@ -69,24 +69,50 @@ def a2t_ground_truth(corpus: Corpus) -> GroundTruth:
 # ranking
 
 
+def _id_order(ids) -> np.ndarray:
+    """Position of each id in ascending id order (stable for duplicates)."""
+    order = np.argsort(np.asarray(list(ids)), kind="stable")
+    position = np.empty(order.size, dtype=np.int64)
+    position[order] = np.arange(order.size)
+    return position
+
+
+# query-item pairs compared against their full rows at once in _best_ranks
+RANK_CHUNK = 256
+
+
+def _best_ranks(values: np.ndarray, id_order: np.ndarray, queries: np.ndarray,
+                items: np.ndarray, n_queries: int) -> np.ndarray:
+    """Per query, the best rank 1 + #{s > s_t} + #{s == s_t, id < id_t}
+    over its relevant items t, for (query row, item column) pairs."""
+    ranks = np.full(n_queries, np.iinfo(np.int64).max)
+    for lo in range(0, queries.size, RANK_CHUNK):
+        q, t = queries[lo: lo + RANK_CHUNK], items[lo: lo + RANK_CHUNK]
+        rows = values[q]
+        target = values[q, t][:, None]
+        ahead = (rows > target) | ((rows == target)
+                                   & (id_order[None, :] < id_order[t][:, None]))
+        np.minimum.at(ranks, q, 1 + np.count_nonzero(ahead, axis=1))
+    return ranks
+
+
 def rank_of_target(scores: np.ndarray, pool_ids, relevant) -> int:
     """1-based best rank of any relevant item under the shared tie-break."""
     scores = np.asarray(scores, dtype=np.float64)
-    ids = np.asarray(list(pool_ids))
-    if scores.ndim != 1 or scores.shape[0] != ids.shape[0]:
+    ids = list(pool_ids)
+    if scores.ndim != 1 or scores.shape[0] != len(ids):
         raise ValueError("scores and pool ids disagree in length")
     if scores.shape[0] == 0:
         raise ValueError("empty candidate pool")
     relevant = set(relevant)
     if not relevant:
         raise ValueError("empty relevant set")
-    missing = relevant - set(ids.tolist())
+    missing = relevant - set(ids)
     if missing:
         raise ValueError(f"relevant item not in pool: {sorted(missing)[0]!r}")
-    order = np.lexsort((ids, -scores))  # score desc, then id asc
-    position = np.empty(len(ids), dtype=np.int64)
-    position[order] = np.arange(1, len(ids) + 1)
-    return int(min(position[k] for k in np.flatnonzero(np.isin(ids, list(relevant)))))
+    items = np.array([j for j, item in enumerate(ids) if item in relevant])
+    return int(_best_ranks(scores[None, :], _id_order(ids),
+                           np.zeros(items.size, dtype=np.intp), items, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -116,18 +142,32 @@ class MetricsReport:
                         (self.r1, self.r5, self.r10, self.r50, self.medr, self.meanr)))
 
 
+def report_to_dict(rep: MetricsReport) -> dict:
+    return rep.by_column() | {"pool_size": rep.pool_size,
+                              "query_count": rep.query_count}
+
+
+def report_from_dict(d: dict) -> MetricsReport:
+    return MetricsReport(d["R@1"], d["R@5"], d["R@10"], d["R@50"], d["medR"],
+                         d["meanR"], pool_size=int(d["pool_size"]),
+                         query_count=int(d["query_count"]))
+
+
 def _ranks(sim: SimilarityMatrix, gt: GroundTruth) -> np.ndarray:
-    pool = set(sim.col_ids)
-    ranks = np.empty(len(sim.row_ids), dtype=np.int64)
+    column = {cid: j for j, cid in enumerate(sim.col_ids)}
+    queries, items = [], []
     for i, query in enumerate(sim.row_ids):
         if query not in gt.relevance:
             raise ValueError(f"dimension mismatch: query {query!r} has no ground truth")
         rel = gt.relevance[query]
-        if not rel <= pool:
+        if not rel <= column.keys():
             raise ValueError(f"dimension mismatch: relevant items for {query!r} "
                              "missing from the pool")
-        ranks[i] = rank_of_target(sim.values[i], sim.col_ids, rel)
-    return ranks
+        queries += [i] * len(rel)
+        items += [column[item] for item in rel]
+    return _best_ranks(sim.values, _id_order(sim.col_ids),
+                       np.asarray(queries, dtype=np.intp),
+                       np.asarray(items, dtype=np.intp), len(sim.row_ids))
 
 
 def metrics_from_ranks(ranks: np.ndarray, pool_size: int) -> MetricsReport:

@@ -6,12 +6,14 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..experts import TextEmbedding
-from .blocks import GatedUnit, Linear, NetVlad, uniform_init
+from .blocks import (AudioBatch, GatedUnit, Linear, NetVlad, TextBatch,
+                     TextSide, uniform_init)
 from .ce import CeConfig, CeModel
 from .mmt import MmtConfig, MmtModel
-from .moee import MoeeConfig, MoeeModel, TextSide
+from .moee import MoeeConfig, MoeeModel
 from .similarity import (AudioClip, SimilarityMatrix, batch_scores,
-                         combine_scores, score_pair, similarity_matrix)
+                         combine_scores, encode_clips, score_pair,
+                         similarity_matrix)
 
 ARCHITECTURES = ("moee", "ce", "mmt")
 
@@ -90,10 +92,11 @@ def model_from_config(arch: str, config: dict, rng: np.random.Generator):
 
 
 __all__ = [
-    "ARCHITECTURES", "AudioClip", "CeConfig", "CeModel", "GatedUnit", "Linear",
-    "MmtConfig", "MmtModel", "MoeeConfig", "MoeeModel", "NetVlad",
-    "SimilarityMatrix", "TextSide", "batch_scores", "build_model", "ce_score",
-    "collaborative_gate", "combine_scores", "gated_embed", "mmt_encode",
+    "ARCHITECTURES", "AudioBatch", "AudioClip", "CeConfig", "CeModel",
+    "GatedUnit", "Linear", "MmtConfig", "MmtModel", "MoeeConfig", "MoeeModel",
+    "NetVlad", "SimilarityMatrix", "TextBatch", "TextSide", "batch_scores",
+    "build_model", "ce_score", "collaborative_gate", "combine_scores",
+    "encode_clips", "gated_embed", "mmt_encode",
     "mmt_score", "model_from_config", "moee_score", "netvlad_aggregate",
     "score_pair", "similarity_matrix", "uniform_init",
 ]

@@ -1,16 +1,124 @@
 """Shared encoder blocks: soft-assignment pooling and gated projections.
 
-All blocks build autodiff graphs over float64 Tensors and expose their
-trainable leaves through named_parameters().
+All blocks build autodiff graphs over float64 Tensors, take a single
+item or a whole batch, and expose their trainable leaves through
+named_parameters().
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .. import autodiff as ad
 
 EPS = 1e-12
+
+
+# -- encoder outputs ---------------------------------------------------
+
+
+@dataclass
+class TextBatch:
+    """Encoded captions: B x E x D expert vectors and B x E softmax mixture
+    weights, experts in the configured order."""
+
+    vectors: ad.Tensor
+    weights: ad.Tensor
+
+
+@dataclass
+class AudioBatch:
+    """Encoded clips: B x E x D expert vectors (zero rows for absent
+    experts) and the B x E expert-presence mask."""
+
+    vectors: ad.Tensor
+    present: np.ndarray
+
+
+@dataclass
+class TextSide:
+    """One caption's encoding: per-expert unit vectors + mixture weights."""
+
+    vectors: dict[str, ad.Tensor]
+    weights: ad.Tensor  # (n_experts,), softmax over the configured order
+
+
+def text_side(batch: TextBatch, experts: tuple[str, ...]) -> TextSide:
+    """The single caption of a batch of one."""
+    return TextSide({e: batch.vectors[0, i] for i, e in enumerate(experts)},
+                    batch.weights[0])
+
+
+def audio_side(batch: AudioBatch, experts: tuple[str, ...]) -> dict[str, ad.Tensor]:
+    """The present experts' vectors of the single clip of a batch of one."""
+    return {e: batch.vectors[0, i] for i, e in enumerate(experts)
+            if batch.present[0, i]}
+
+
+def text_batch(units: dict, head, experts: tuple[str, ...], pooled) -> TextBatch:
+    """Per-expert gated units and the softmax mixture head over B pooled
+    caption vectors."""
+    vectors = ad.stack([units[e](pooled) for e in experts], axis=1)
+    return TextBatch(vectors, ad.softmax(head(pooled)))
+
+
+# -- batch assembly ----------------------------------------------------
+
+
+def stream_rows(value) -> np.ndarray:
+    """Valid frames of a bare T x D matrix or of a (matrix, mask) pair."""
+    if isinstance(value, tuple):
+        matrix, mask = value
+        return np.asarray(matrix, dtype=np.float64)[np.asarray(mask, dtype=bool)]
+    return np.asarray(value, dtype=np.float64)
+
+
+def gather_streams(experts: tuple[str, ...], batch: list
+                   ) -> tuple[np.ndarray, dict[str, list[np.ndarray]]]:
+    """The B x E presence mask of a batch of stream mappings and, per
+    expert, the valid frames of the items that have it, in batch order."""
+    present = np.zeros((len(batch), len(experts)), dtype=bool)
+    rows: dict[str, list[np.ndarray]] = {e: [] for e in experts}
+    for b, streams in enumerate(batch):
+        unknown = [e for e in streams if e not in experts]
+        if unknown:
+            raise KeyError(f"streams for unconfigured experts: {unknown}")
+        if not streams:
+            raise ValueError("no experts present for this sample")
+        for i, expert in enumerate(experts):
+            if expert in streams:
+                present[b, i] = True
+                rows[expert].append(stream_rows(streams[expert]))
+    return present, rows
+
+
+def expert_rows(experts: tuple[str, ...], outputs: dict[str, ad.Tensor],
+                present: np.ndarray) -> tuple[ad.Tensor, np.ndarray]:
+    """One zero row followed by every expert's output rows, and the B x E
+    index of each (item, expert) row in it (0 where the expert is absent).
+
+    outputs[e] holds one row per item that has expert e, in batch order.
+    """
+    width = next(iter(outputs.values())).shape[-1]
+    index = np.zeros(present.shape, dtype=np.intp)
+    parts: list = [np.zeros((1, width))]
+    cursor = 1
+    for i, expert in enumerate(experts):
+        if expert in outputs:
+            count = int(present[:, i].sum())
+            index[present[:, i], i] = cursor + np.arange(count)
+            parts.append(outputs[expert])
+            cursor += count
+    return ad.concat(parts, axis=0), index
+
+
+def expert_tensor(experts: tuple[str, ...], outputs: dict[str, ad.Tensor],
+                  present: np.ndarray) -> ad.Tensor:
+    """B x E x D tensor of per-expert output rows, zero where absent."""
+    source, index = expert_rows(experts, outputs, present)
+    return ad.take_rows(source, index)
 
 
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
@@ -20,21 +128,43 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
     return rng.uniform(-bound, bound, size=shape)
 
 
+def affine(x, w: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """x W^T + b for a vector or for every row of a stack of them."""
+    return ad.add(ad.stacked_matmul(x, ad.transpose(w)), b)
+
+
 class Linear:
-    """y = x W^T + b for row vectors; accepts 1-D or row-major 2-D input."""
+    """y = x W^T + b; accepts a vector or a stack of row vectors."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.w = ad.parameter(uniform_init(rng, (out_dim, in_dim), in_dim))
         self.b = ad.parameter(np.zeros(out_dim))
 
     def __call__(self, x) -> ad.Tensor:
-        x = ad.as_tensor(x)
-        if x.ndim == 1:
-            return ad.add(ad.matmul(self.w, x), self.b)
-        return ad.add(ad.matmul(x, ad.transpose(self.w)), self.b)
+        return affine(x, self.w, self.b)
 
     def named_parameters(self) -> dict[str, ad.Tensor]:
         return {"w": self.w, "b": self.b}
+
+
+def canonical_rows(streams: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate frame matrices, each with its rows sorted
+    lexicographically, and return them with the item row offsets.
+
+    Pooling frames in this order makes a descriptor exactly order-free, not
+    just order-free up to float round-off. One sort orders every item's rows
+    by their first column; an item with ties there takes the full lexsort.
+    """
+    lengths = [f.shape[0] for f in streams]
+    offsets = np.cumsum([0] + lengths)
+    x = np.concatenate(streams)
+    item = np.repeat(np.arange(len(streams)), lengths)
+    order = np.lexsort((x[:, 0], item))
+    unresolved = ~(np.diff(x[order, 0]) > 0) & (np.diff(item) == 0)
+    for b in np.unique(item[1:][unresolved]):
+        lo, hi = offsets[b], offsets[b + 1]
+        order[lo:hi] = lo + np.lexsort(streams[b].T[::-1])
+    return x[order], offsets
 
 
 class NetVlad:
@@ -45,8 +175,11 @@ class NetVlad:
     intra-normalized per cluster, flattened, and globally L2-normalized.
     Ghost clusters take part in the assignment softmax only.
 
-    Valid frames are lexicographically sorted before any arithmetic, so
-    the output is bit-identical under frame permutation and padding.
+    A batch is pooled at once: every item's valid frames are
+    lexicographically sorted, the batch's rows are soft-assigned together,
+    and each item's residuals are summed over its own rows only. So an
+    item's descriptor is bit-identical under frame permutation, padding,
+    and any change of batchmates.
     """
 
     def __init__(self, input_dim: int, clusters: int, ghost: int,
@@ -66,31 +199,34 @@ class NetVlad:
         return self.clusters * self.input_dim
 
     def __call__(self, frames, mask: np.ndarray | None = None) -> ad.Tensor:
-        frames = ad.as_tensor(frames)
-        if frames.ndim != 2 or frames.shape[1] != self.input_dim:
-            raise ValueError(
-                f"expected frames of width {self.input_dim}, got {frames.shape}")
-        if mask is None:
-            valid = np.arange(frames.shape[0])
-        else:
-            valid = np.flatnonzero(np.asarray(mask, dtype=bool))
-        if valid.size == 0:
-            raise ValueError("all frames masked: nothing to aggregate")
-        # canonical frame order makes the pooled descriptor exactly
-        # order-free, not just order-free up to float round-off
-        rows = frames.data[valid]
-        order = valid[np.lexsort(rows.T[::-1])]
-        x = ad.take_rows(frames, order)
+        """Pool one T x D frame matrix (rows where `mask` is False left out)
+        into a K*D vector, or a list of valid-frame matrices into B x K*D.
+        Frames are data: no gradient flows back to them."""
+        if isinstance(frames, list):
+            return self._pool(frames)
+        frames = ad.as_tensor(frames).data
+        if mask is not None:
+            frames = frames[np.asarray(mask, dtype=bool)]
+        return ad.reshape(self._pool([frames]), (self.output_dim,))
 
-        logits = ad.add(ad.matmul(x, self.assign_w), self.assign_b)
-        assign = ad.softmax(logits, axis=1)[:, : self.clusters]
-        mass = ad.tsum(assign, axis=0)  # per-cluster assignment mass
-        centers = self.centers[: self.clusters]
-        vlad = ad.sub(ad.matmul(ad.transpose(assign), x),
-                      ad.mul(ad.reshape(mass, (self.clusters, 1)), centers))
+    def _pool(self, streams: list) -> ad.Tensor:
+        streams = [np.asarray(f, dtype=np.float64) for f in streams]
+        for frames in streams:
+            if frames.ndim != 2 or frames.shape[1] != self.input_dim:
+                raise ValueError(
+                    f"expected frames of width {self.input_dim}, got {frames.shape}")
+            if frames.shape[0] == 0:
+                raise ValueError("all frames masked: nothing to aggregate")
+        x, offsets = canonical_rows(streams)
+        batch, k = len(streams), self.clusters
+
+        logits = ad.add(ad.stacked_matmul(x, self.assign_w), self.assign_b)
+        assign = ad.softmax(logits, axis=1)[:, :k]
+        mass = ad.segment_sum(assign, offsets)  # per-cluster assignment mass
+        vlad = ad.sub(ad.segment_matmul(assign, x, offsets),
+                      ad.mul(ad.reshape(mass, (batch, k, 1)), self.centers[:k]))
         vlad = ad.row_normalize(vlad, eps=EPS)
-        flat = ad.reshape(vlad, (self.output_dim,))
-        return ad.l2_normalize(flat, eps=EPS)
+        return ad.row_normalize(ad.reshape(vlad, (batch, self.output_dim)), eps=EPS)
 
     def named_parameters(self) -> dict[str, ad.Tensor]:
         return {"centers": self.centers, "assign_w": self.assign_w,
@@ -98,7 +234,8 @@ class NetVlad:
 
 
 class GatedUnit:
-    """Self-gated linear map with L2-normalized output.
+    """Self-gated linear map with L2-normalized output, for a vector or
+    for every row of a matrix.
 
     y1 = W1 x + b1;  y = y1 * sigmoid(W2 y1 + b2);  output y / max(|y|, eps).
     """
@@ -110,9 +247,9 @@ class GatedUnit:
         self.b2 = ad.parameter(np.zeros(out_dim))
 
     def __call__(self, x) -> ad.Tensor:
-        y1 = ad.add(ad.matmul(self.w1, ad.as_tensor(x)), self.b1)
-        gate = ad.sigmoid(ad.add(ad.matmul(self.w2, y1), self.b2))
-        return ad.l2_normalize(ad.mul(y1, gate), eps=EPS)
+        y1 = affine(x, self.w1, self.b1)
+        gate = ad.sigmoid(affine(y1, self.w2, self.b2))
+        return ad.row_normalize(ad.mul(y1, gate), eps=EPS)
 
     def named_parameters(self) -> dict[str, ad.Tensor]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import autodiff as ad
-from .blocks import Linear, collect
-from .moee import MoeeConfig, MoeeModel, _stream_rows
+from .blocks import Linear, collect, expert_rows
+from .moee import MoeeConfig, MoeeModel
 
 
 @dataclass
@@ -38,39 +38,52 @@ class CeModel(MoeeModel):
         self.pair_fc1 = Linear(2 * width, width, rng)
         self.pair_fc2 = Linear(width, width, rng)
 
-    def collaborative_gate(self, expert_vectors: dict[str, ad.Tensor]
-                           ) -> dict[str, ad.Tensor]:
-        """Mask and modulate each expert vector using pairwise context."""
+    def collaborative_gate(self, expert_vectors: dict, present=None) -> dict:
+        """Mask and modulate pooled expert vectors using pairwise context.
+
+        With the B x E presence mask given, expert_vectors[e] stacks one
+        row per item that has expert e, in batch order, and every ordered
+        pair of an item's present experts goes through the pair MLP as one
+        batch. Without it, the vectors are one sample's.
+        """
         if not expert_vectors:
             raise ValueError("no expert vectors to gate")
-        present = [e for e in self.cfg.experts if e in expert_vectors]
-        projected = {e: self.gate_in[e](expert_vectors[e]) for e in present}
-        gated: dict[str, ad.Tensor] = {}
-        for e in present:
-            partners = [p for p in present if p != e] or [e]  # self-pair fallback
-            message = None
-            for partner in partners:
-                pair = ad.concat([projected[e], projected[partner]])
-                term = self.pair_fc2(ad.relu(self.pair_fc1(pair)))
-                message = term if message is None else ad.add(message, term)
-            mask = ad.sigmoid(self.gate_out[e](message))
-            gated[e] = ad.mul(expert_vectors[e], mask)
+        experts = self.cfg.experts
+        if present is None:
+            present = np.array([[e in expert_vectors for e in experts]])
+            gated = self.collaborative_gate(
+                {e: ad.reshape(ad.as_tensor(v), (1, -1))
+                 for e, v in expert_vectors.items()}, present)
+            return {e: ad.reshape(v, (-1,)) for e, v in gated.items()}
+        source, index = expert_rows(
+            experts, {e: self.gate_in[e](v) for e, v in expert_vectors.items()},
+            present)
+        # (expert, item, partner) triples in that order of priority: every
+        # present partner, a lone expert paired with itself
+        lone = present.sum(axis=1) == 1
+        same = np.eye(len(experts), dtype=bool)[:, None, :]
+        active = (present.T[:, :, None] & present[None, :, :]
+                  & (~same | lone[None, :, None]))
+        expert, item, partner = np.nonzero(active)
+        left, right = index[item, expert], index[item, partner]
+        offsets = np.concatenate([[0], np.cumsum(active.sum(axis=2)[present.T])])
+        pair = ad.concat([ad.take_rows(source, left),
+                          ad.take_rows(source, right)], axis=1)
+        messages = ad.segment_sum(self.pair_fc2(ad.relu(self.pair_fc1(pair))),
+                                  offsets)
+        gated, cursor = {}, 0
+        for expert in experts:
+            if expert in expert_vectors:
+                vectors = ad.as_tensor(expert_vectors[expert])
+                rows = messages[cursor: cursor + vectors.shape[0]]
+                cursor += vectors.shape[0]
+                gated[expert] = ad.mul(vectors, ad.sigmoid(self.gate_out[expert](rows)))
         return gated
 
-    def encode_audio(self, streams) -> dict[str, ad.Tensor]:
-        unknown = [e for e in streams if e not in self.cfg.experts]
-        if unknown:
-            raise KeyError(f"streams for unconfigured experts: {unknown}")
-        pooled: dict[str, ad.Tensor] = {}
-        for expert in self.cfg.experts:
-            if expert not in streams:
-                continue
-            matrix, mask = _stream_rows(streams[expert])
-            pooled[expert] = self.audio_vlad[expert](matrix, mask)
-        if not pooled:
-            raise ValueError("no experts present for this sample")
-        gated = self.collaborative_gate(pooled)
-        return {e: self.audio_units[e](gated[e]) for e in gated}
+    def encode_audio(self, streams):
+        """As MoeeModel.encode_audio, with the collaborative gate between
+        pooling and the gated units."""
+        return self._encode_audio(streams, gate=self.collaborative_gate)
 
     def named_parameters(self) -> dict[str, ad.Tensor]:
         params = super().named_parameters()

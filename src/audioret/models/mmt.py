@@ -15,13 +15,15 @@ gated units and a softmax mixture head, mirroring the other models.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import autodiff as ad
-from .blocks import GatedUnit, Linear, collect, uniform_init
-from .moee import TextSide, _stream_rows
+from .blocks import (AudioBatch, GatedUnit, Linear, audio_side, collect,
+                     gather_streams, text_batch, text_side, uniform_init)
+from .moee import single_caption
 
 LN_EPS = 1e-5
 
@@ -74,26 +76,14 @@ class _Block:
         normed = ad.div(centered, ad.sqrt(ad.add(var, LN_EPS)))
         return ad.add(ad.mul(normed, gain), bias)
 
-    def _attention(self, x: ad.Tensor, attn_sink: list | None) -> ad.Tensor:
-        q = self.wq(x)
-        k = self.wk(x)
-        v = self.wv(x)
-        head_dim = self.dim // self.heads
-        scale = 1.0 / np.sqrt(head_dim)
-        contexts = []
-        for h in range(self.heads):
-            cols = slice(h * head_dim, (h + 1) * head_dim)
-            qh, kh, vh = q[:, cols], k[:, cols], v[:, cols]
-            scores = ad.mul(ad.matmul(qh, ad.transpose(kh)), scale)
-            attn = ad.softmax(scores, axis=1)
-            if attn_sink is not None:
-                attn_sink.append(attn.data.copy())
-            contexts.append(ad.matmul(attn, vh))
-        return self.wo(ad.concat(contexts, axis=1))
-
-    def __call__(self, x: ad.Tensor, attn_sink: list | None = None) -> ad.Tensor:
-        x = ad.add(x, self._attention(self._layernorm(x, self.ln1_g, self.ln1_b),
-                                      attn_sink))
+    def __call__(self, x: ad.Tensor, offsets, attn_sink: list | None = None
+                 ) -> ad.Tensor:
+        """x stacks every item's sequence; attention stays inside each
+        item's rows offsets[i]:offsets[i + 1]."""
+        h = self._layernorm(x, self.ln1_g, self.ln1_b)
+        context = ad.segment_attention(self.wq(h), self.wk(h), self.wv(h),
+                                       offsets, self.heads, attn_sink)
+        x = ad.add(x, self.wo(context))
         x = ad.add(x, self.ff2(ad.relu(self.ff1(
             self._layernorm(x, self.ln2_g, self.ln2_b)))))
         return x
@@ -129,56 +119,71 @@ class MmtModel:
 
     # -- audio side ----------------------------------------------------
 
-    def encode_audio(self, streams, attn_sink: list | None = None
-                     ) -> dict[str, ad.Tensor]:
-        unknown = [e for e in streams if e not in self.cfg.experts]
-        if unknown:
-            raise KeyError(f"streams for unconfigured experts: {unknown}")
-        segments: list[ad.Tensor] = []
-        agg_positions: dict[str, int] = {}
-        cursor = 0
-        present = [e for e in self.cfg.experts if e in streams]
-        if not present:
-            raise ValueError("no experts present for this sample")
-        for expert in present:
-            matrix, mask = _stream_rows(streams[expert])
-            if mask is None:
-                rows = matrix
-            else:
-                rows = matrix[np.asarray(mask, dtype=bool)]
-            if rows.shape[0] == 0:
+    def encode_audio(self, streams, attn_sink: list | None = None):
+        """Encode a list of stream mappings into an AudioBatch of final
+        aggregation-token states, or one sample's mapping into
+        {expert: state} (the batch path at B=1).
+
+        Projections, LayerNorm and feed-forward layers run once over all
+        items' concatenated valid frames.
+        """
+        experts = self.cfg.experts
+        if isinstance(streams, Mapping):
+            return audio_side(self.encode_audio([streams], attn_sink), experts)
+        present, rows = gather_streams(experts, streams)
+        n_experts = len(experts)
+        parts = [ad.stack([self.agg[e] for e in experts])]
+        spans = {}  # expert -> (first source row, frame count) per item
+        cursor = n_experts
+        for expert in experts:
+            lengths = [f.shape[0] for f in rows[expert]]
+            if 0 in lengths:
                 raise ValueError(f"all frames masked for expert {expert}")
-            if rows.shape[0] > self.cfg.max_frames:
+            if max(lengths, default=0) > self.cfg.max_frames:
                 raise ValueError(
-                    f"{rows.shape[0]} frames exceed the position table "
+                    f"{max(lengths)} frames exceed the position table "
                     f"({self.cfg.max_frames}); cap the stream first")
-            frames = ad.add(ad.add(self.proj[expert](rows),
-                                   self.type_emb[expert]),
-                            self.pos[: rows.shape[0]])
-            agg_positions[expert] = cursor
-            segments.append(ad.reshape(self.agg[expert], (1, self.cfg.model_dim)))
-            segments.append(frames)
-            cursor += 1 + rows.shape[0]
-        x = ad.concat(segments, axis=0)
+            if not lengths:
+                continue
+            positions = np.concatenate([np.arange(n) for n in lengths])
+            parts.append(ad.add(ad.add(self.proj[expert](np.concatenate(rows[expert])),
+                                       self.type_emb[expert]),
+                                ad.take_rows(self.pos, positions)))
+            starts = cursor + np.cumsum([0] + lengths[:-1])
+            spans[expert] = iter(zip(starts.tolist(), lengths))
+            cursor += positions.size
+
+        # each item's sequence: per present expert, its aggregation token
+        # then its frames
+        order, agg_rows, offsets = [], np.zeros(present.shape, dtype=np.intp), [0]
+        for b in range(present.shape[0]):
+            for i in np.flatnonzero(present[b]):
+                lo, count = next(spans[experts[i]])
+                agg_rows[b, i] = 1 + len(order)
+                order += [i] + list(range(lo, lo + count))
+            offsets.append(len(order))
+        x = ad.take_rows(ad.concat(parts, axis=0), order)
         for block in self.blocks:
-            x = block(x, attn_sink)
-        return {e: x[agg_positions[e]] for e in present}
+            x = block(x, offsets, attn_sink)
+        padded = ad.concat([np.zeros((1, self.cfg.model_dim)), x], axis=0)
+        return AudioBatch(ad.take_rows(padded, agg_rows), present)
 
     # -- text side -----------------------------------------------------
 
-    def encode_text(self, tokens, mask: np.ndarray | None = None) -> TextSide:
-        tokens = np.asarray(tokens, dtype=np.float64)
-        if mask is None:
-            mask = np.ones(tokens.shape[0], dtype=bool)
-        mask = np.asarray(mask, dtype=bool)
-        valid = np.flatnonzero(mask)
-        if valid.size == 0:
-            pooled = ad.Tensor(np.zeros(tokens.shape[1]))
-        else:
-            pooled = ad.tmean(ad.Tensor(tokens[valid]), axis=0)
-        vectors = {e: self.text_units[e](pooled) for e in self.cfg.experts}
-        weights = ad.softmax(self.weight_head(pooled))
-        return TextSide(vectors, weights)
+    def encode_text(self, tokens, mask: np.ndarray | None = None):
+        """Encode a list of captions (TextEmbedding) into a TextBatch, or
+        one T x D token matrix into a TextSide (the batch path at B=1).
+
+        A caption's pooled vector is the mean of its valid token rows, or
+        zero when it has none.
+        """
+        if not isinstance(tokens, list):
+            return text_side(self.encode_text([single_caption(tokens, mask)]),
+                             self.cfg.experts)
+        pooled = np.stack([t.token_matrix[t.mask].mean(axis=0) if t.mask.any()
+                           else np.zeros(t.token_matrix.shape[1]) for t in tokens])
+        return text_batch(self.text_units, self.weight_head, self.cfg.experts,
+                          pooled)
 
     # -- parameters ----------------------------------------------------
 

@@ -9,12 +9,24 @@ the experts present for the audio sample.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import autodiff as ad
-from .blocks import GatedUnit, Linear, NetVlad, collect
+from ..experts import TextEmbedding
+from .blocks import (AudioBatch, GatedUnit, Linear, NetVlad, audio_side,
+                     collect, expert_tensor, gather_streams, text_batch,
+                     text_side)
+
+
+def single_caption(tokens, mask: np.ndarray | None) -> TextEmbedding:
+    """One token matrix as a caption; no mask means every row is valid."""
+    tokens = np.asarray(tokens, dtype=np.float64)
+    if mask is None:
+        mask = np.ones(tokens.shape[0], dtype=bool)
+    return TextEmbedding("query", tokens, mask)
 
 
 @dataclass
@@ -39,22 +51,6 @@ class MoeeConfig:
             raise ValueError(f"no dimension recorded for experts: {missing}")
 
 
-@dataclass
-class TextSide:
-    """One caption's encoding: per-expert unit vectors + mixture weights."""
-
-    vectors: dict[str, ad.Tensor]
-    weights: ad.Tensor  # (n_experts,), softmax over the configured order
-
-
-def _stream_rows(value):
-    """Accept a bare T x D matrix or a (matrix, mask) pair."""
-    if isinstance(value, tuple):
-        matrix, mask = value
-        return np.asarray(matrix, dtype=np.float64), mask
-    return np.asarray(value, dtype=np.float64), None
-
-
 class MoeeModel:
     arch = "moee"
 
@@ -75,28 +71,33 @@ class MoeeModel:
 
     # -- encoding ------------------------------------------------------
 
-    def encode_text(self, tokens, mask: np.ndarray | None = None) -> TextSide:
-        if mask is not None and not np.asarray(mask, dtype=bool).any():
-            mask = None  # all-OOV fallback: aggregate the zero row itself
-        pooled = self.text_vlad(tokens, mask)
-        vectors = {e: self.text_units[e](pooled) for e in self.cfg.experts}
-        weights = ad.softmax(self.weight_head(pooled))
-        return TextSide(vectors, weights)
+    def encode_text(self, tokens, mask: np.ndarray | None = None):
+        """Encode a list of captions (TextEmbedding) into a TextBatch, or
+        one T x D token matrix into a TextSide (the batch path at B=1)."""
+        if not isinstance(tokens, list):
+            return text_side(self.encode_text([single_caption(tokens, mask)]),
+                             self.cfg.experts)
+        # an all-OOV caption aggregates its zero rows themselves
+        pooled = self.text_vlad([t.token_matrix[t.mask] if t.mask.any()
+                                 else t.token_matrix for t in tokens])
+        return text_batch(self.text_units, self.weight_head, self.cfg.experts,
+                          pooled)
 
-    def encode_audio(self, streams) -> dict[str, ad.Tensor]:
-        unknown = [e for e in streams if e not in self.cfg.experts]
-        if unknown:
-            raise KeyError(f"streams for unconfigured experts: {unknown}")
-        vectors: dict[str, ad.Tensor] = {}
-        for expert in self.cfg.experts:
-            if expert not in streams:
-                continue
-            matrix, mask = _stream_rows(streams[expert])
-            pooled = self.audio_vlad[expert](matrix, mask)
-            vectors[expert] = self.audio_units[expert](pooled)
-        if not vectors:
-            raise ValueError("no experts present for this sample")
-        return vectors
+    def encode_audio(self, streams):
+        """Encode a list of stream mappings into an AudioBatch, or one
+        sample's mapping into {expert: vector} (the batch path at B=1)."""
+        return self._encode_audio(streams, gate=None)
+
+    def _encode_audio(self, streams, gate):
+        experts = self.cfg.experts
+        if isinstance(streams, Mapping):
+            return audio_side(self._encode_audio([streams], gate), experts)
+        present, rows = gather_streams(experts, streams)
+        pooled = {e: self.audio_vlad[e](rows[e]) for e in experts if rows[e]}
+        if gate is not None:
+            pooled = gate(pooled, present)
+        outputs = {e: self.audio_units[e](v) for e, v in pooled.items()}
+        return AudioBatch(expert_tensor(experts, outputs, present), present)
 
     # -- parameters ----------------------------------------------------
 

@@ -1,10 +1,11 @@
-"""Batched cross-modal scoring shared by training and evaluation.
+"""Batched cross-modal scoring shared by training, evaluation and search.
 
-Each side is embedded once per item; entry (i, j) is the weighted sum
-of per-expert cosines between text i and audio j, with text i's softmax
-mixture weights renormalized over the experts present for audio j.
-The scalar score operations are the batched scorer at B=1, so the two
-always agree exactly.
+Each side is encoded as a batch (B x E x D expert vectors); entry (i, j)
+is the weighted sum of per-expert cosines between text i and audio j,
+with text i's softmax mixture weights renormalized over the experts
+present for audio j. Every layer computes an item's values independently
+of its batchmates, so the scalar score operations (the batched scorer at
+B=1), chunked evaluation and search all agree exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +16,10 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..experts import AudioClip, TextEmbedding
+from .blocks import AudioBatch, TextBatch
+
+# items per encoder call when encoding an evaluation or search pool
+ENCODE_CHUNK = 32
 
 
 @dataclass
@@ -35,48 +40,55 @@ class SimilarityMatrix:
                                 list(self.row_ids))
 
 
-def combine_scores(experts: tuple[str, ...], text_sides: list,
-                   audio_sides: list[dict[str, ad.Tensor]]) -> ad.Tensor:
-    """Tensor of pairwise scores from per-item encodings (graph-building)."""
-    weight_rows = ad.stack_rows([t.weights for t in text_sides])
-    numerator = None
-    denominator = None
-    for idx, expert in enumerate(experts):
-        text_rows = ad.stack_rows(
-            [ad.l2_normalize(t.vectors[expert]) for t in text_sides])
-        audio_rows = []
-        presence = np.zeros(len(audio_sides))
-        for j, side in enumerate(audio_sides):
-            if expert in side:
-                audio_rows.append(ad.l2_normalize(side[expert]))
-                presence[j] = 1.0
-            else:
-                audio_rows.append(ad.Tensor(np.zeros(text_rows.shape[1])))
-        cosines = ad.pairwise_inner(text_rows, ad.stack_rows(audio_rows))
-        weight_col = weight_rows[:, idx: idx + 1]
-        contrib = ad.mul(ad.mul(weight_col, cosines), presence[None, :])
-        mass = ad.mul(weight_col, ad.Tensor(presence[None, :]))
-        numerator = contrib if numerator is None else ad.add(numerator, contrib)
-        denominator = mass if denominator is None else ad.add(denominator, mass)
-    return ad.div(numerator, denominator)
+def combine_scores(text: TextBatch, audio: AudioBatch) -> ad.Tensor:
+    """Bt x Ba tensor of pairwise scores from two encoded batches."""
+    cosines = ad.pairwise_inner(ad.row_normalize(text.vectors),
+                                ad.row_normalize(audio.vectors))  # Bt x Ba x E
+    rows, experts = text.weights.shape
+    mass = ad.mul(ad.reshape(text.weights, (rows, 1, experts)),
+                  audio.present[None].astype(np.float64))
+    return ad.div(ad.tsum(ad.mul(mass, cosines), axis=2), ad.tsum(mass, axis=2))
 
 
 def batch_scores(model, texts: list[TextEmbedding],
                  clips: list[AudioClip]) -> ad.Tensor:
-    """Encode both sides once and combine; rows texts, columns clips."""
+    """Encode both sides as one batch each and combine; rows texts,
+    columns clips."""
     if not texts or not clips:
         raise ValueError("empty batch")
-    text_sides = [model.encode_text(t.token_matrix, t.mask) for t in texts]
-    audio_sides = [model.encode_audio(c.streams) for c in clips]
-    return combine_scores(model.cfg.experts, text_sides, audio_sides)
+    return combine_scores(model.encode_text(list(texts)),
+                          model.encode_audio([c.streams for c in clips]))
+
+
+def _chunks(count: int) -> list[slice]:
+    """Consecutive ENCODE_CHUNK-item slices; a one-item remainder joins
+    the slice before it."""
+    starts = list(range(0, count, ENCODE_CHUNK))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
+
+
+def encode_clips(model, clips: list[AudioClip]) -> AudioBatch:
+    """Inference-mode encoding of a clip pool, ENCODE_CHUNK clips per call."""
+    with ad.no_grad():
+        parts = [model.encode_audio([c.streams for c in clips[part]])
+                 for part in _chunks(len(clips))]
+    return AudioBatch(ad.Tensor(np.concatenate([p.vectors.data for p in parts])),
+                      np.concatenate([p.present for p in parts]))
 
 
 def similarity_matrix(model, texts: list[TextEmbedding],
                       clips: list[AudioClip]) -> SimilarityMatrix:
-    """Evaluation-side matrix with values clipped into [-1, 1]."""
+    """Evaluation-side matrix with values clipped into [-1, 1]; both sides
+    are encoded ENCODE_CHUNK items per call."""
+    if not texts or not clips:
+        raise ValueError("empty batch")
+    audio = encode_clips(model, clips)
     with ad.no_grad():
-        scores = batch_scores(model, texts, clips)
-    values = np.clip(scores.data, -1.0, 1.0)
+        rows = [combine_scores(model.encode_text(list(texts[part])), audio).data
+                for part in _chunks(len(texts))]
+    values = np.clip(np.concatenate(rows), -1.0, 1.0)
     return SimilarityMatrix(values, [t.caption_id for t in texts],
                             [c.sample_id for c in clips])
 

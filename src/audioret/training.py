@@ -10,7 +10,7 @@ geometric mean of R@1/R@5/R@10.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -377,8 +377,3 @@ def finetune(ckpt: Checkpoint, corpus: Corpus, store, text_source,
     out = train(model, corpus, store, text_source, cfg, loss_cfg)
     out.transfer = report
     return out
-
-
-def with_schedule(cfg: TrainConfig, **changes) -> TrainConfig:
-    """Derived config with replaced fields (frozen-dataclass convenience)."""
-    return replace(cfg, **changes)

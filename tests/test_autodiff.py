@@ -63,7 +63,7 @@ class TestPrimitives:
         def build():
             g = ad.take_rows(x, rows)
             cat = ad.concat([g, y], axis=0)
-            stacked = ad.stack_rows([cat[i] for i in range(6)])
+            stacked = ad.stack([cat[i] for i in range(6)])
             return ad.tsum(ad.relu(stacked))
 
         check_gradients(build, {"x": x, "y": y})
@@ -131,6 +131,106 @@ class TestPrimitives:
         x.data[np.abs(x.data - 0.5) < 1e-3] += 0.01
         check_gradients(build, {"x": x})
 
+
+
+class TestBatchOps:
+    """The stacked and segment ops the batched encoders are built from."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stacked_matmul(self, seed):
+        rng = np.random.default_rng(seed)
+        x = _leaf(rng, 2, 3, 4)
+        v = _leaf(rng, 4)
+        w = _leaf(rng, 4, 5)
+
+        def build():
+            rows = ad.stacked_matmul(x, w)                 # (2, 3, 5)
+            vec = ad.stacked_matmul(v, w)                  # (5,)
+            return ad.tsum(ad.sigmoid(rows)) + ad.tsum(ad.tanh(vec))
+
+        check_gradients(build, {"x": x, "v": v, "w": w})
+
+    def test_stacked_matmul_rows_ignore_batchmates(self):
+        """A row's result is bitwise the same in any batch, at any place."""
+        rng = np.random.default_rng(0)
+        for k, n in ((300, 21), (128, 16), (512, 512), (7, 3)):
+            w = np.ascontiguousarray(rng.standard_normal((n, k))).T
+            x = rng.standard_normal((5, k))
+            base = ad.stacked_matmul(x, w).data
+            for count in (1, 2, 9, ad.ROW_BLOCK + 3):
+                others = rng.standard_normal((count, k))
+                mixed = np.vstack([others, x[::-1]])
+                got = ad.stacked_matmul(mixed, w).data[count:][::-1]
+                np.testing.assert_array_equal(got, base)
+            np.testing.assert_allclose(base, x @ w, rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_segment_matmul(self, seed):
+        rng = np.random.default_rng(seed)
+        a = _leaf(rng, 7, 3)
+        x = _leaf(rng, 7, 4)
+        offsets = [0, 3, 3, 7]  # the middle segment is empty
+
+        def build():
+            out = ad.segment_matmul(a, x, offsets)       # (3, 3, 4)
+            return ad.tsum(ad.square(ad.sigmoid(out)))
+
+        check_gradients(build, {"a": a, "x": x})
+        out = ad.segment_matmul(a, x, offsets).data
+        np.testing.assert_allclose(out[0], a.data[:3].T @ x.data[:3], rtol=1e-12)
+        np.testing.assert_array_equal(out[1], np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_segment_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        a = _leaf(rng, 6, 3)
+        offsets = [0, 2, 2, 6]
+
+        def build():
+            return ad.tsum(ad.tanh(ad.segment_sum(a, offsets)))
+
+        check_gradients(build, {"a": a})
+        out = ad.segment_sum(a, offsets).data
+        np.testing.assert_allclose(out[2], a.data[2:].sum(axis=0), rtol=1e-12)
+        np.testing.assert_array_equal(out[1], np.zeros(3))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_segment_attention(self, seed):
+        rng = np.random.default_rng(seed)
+        q, k, v = (_leaf(rng, 7, 4) for _ in range(3))
+        offsets = [0, 3, 7]
+        probe = rng.standard_normal((7, 4))
+
+        def build():
+            out = ad.segment_attention(q, k, v, offsets, heads=2)
+            return ad.tsum(ad.mul(out, probe))
+
+        check_gradients(build, {"q": q, "k": k, "v": v})
+
+    def test_segment_attention_stays_inside_segments(self):
+        rng = np.random.default_rng(0)
+        q, k, v = (rng.standard_normal((5, 4)) for _ in range(3))
+        sink: list = []
+        both = ad.segment_attention(q, k, v, [0, 2, 5], heads=2, sink=sink).data
+        alone = ad.segment_attention(q[2:], k[2:], v[2:], [0, 3], heads=2).data
+        np.testing.assert_array_equal(both[2:], alone)
+        assert [m.shape for m in sink] == [(2, 2), (2, 2), (3, 3), (3, 3)]
+        for m in sink:
+            np.testing.assert_allclose(m.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stack_and_batched_pairwise_inner(self, seed):
+        rng = np.random.default_rng(seed)
+        a = _leaf(rng, 3, 4)
+        b = _leaf(rng, 3, 4)
+        c = _leaf(rng, 2, 2, 4)
+
+        def build():
+            stacked = ad.stack([a, b], axis=1)           # (3, 2, 4)
+            s = ad.pairwise_inner(ad.row_normalize(stacked), c)  # (3, 2, 2)
+            return ad.tsum(ad.sigmoid(s))
+
+        check_gradients(build, {"a": a, "b": b, "c": c})
 
 class TestEngine:
     def test_grad_accumulates_over_reuse(self):

@@ -216,6 +216,15 @@ def test_canonical_lines_sorted_and_complete():
     assert "dataset=synthetic" in lines
     assert "experts=ea,eb" in lines
     assert "train.epochs=2" in lines
+    assert f"numerics={bn.NUMERICS_VERSION}" in lines
+
+
+def test_run_key_changes_with_numerics_version(monkeypatch):
+    """Artifacts cached under older numerics are never served again."""
+    cfg = tiny_config("runs")
+    before = cfg.run_key()
+    monkeypatch.setattr(bn, "NUMERICS_VERSION", bn.NUMERICS_VERSION + 1)
+    assert cfg.run_key() != before
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +368,8 @@ def test_benchmark_row_and_artifacts(rig):
         assert (run_path / name).exists()
     payload = json.loads((run_path / "seed0.json").read_text())
     assert payload["seed"] == 0
-    assert set(payload) == {"seed", "selection_score", "best_step",
+    assert payload["numerics"] == bn.NUMERICS_VERSION
+    assert set(payload) == {"seed", "numerics", "selection_score", "best_step",
                             "t2a", "a2t", "log"}
     assert (run_path / "table.txt").read_text() == table.to_text()
     assert (run_path / "table.csv").read_text() == table.to_csv()
