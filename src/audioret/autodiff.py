@@ -320,16 +320,16 @@ def segment_matmul(a, x, offsets) -> Tensor:
 def segment_sum(a, offsets) -> Tensor:
     """Sum the rows of each segment offsets[i]:offsets[i + 1], in row order.
 
-    Each segment's rows are added one after another, so a segment's sum
-    depends on its own rows only; an empty segment sums to zero.
+    Row t of every segment is added at step t, so a segment's sum depends
+    on its own rows only; an empty segment sums to zero.
     """
     a = as_tensor(a)
     offsets = np.asarray(offsets, dtype=np.intp)
     lengths = np.diff(offsets)
     data = np.zeros((lengths.size,) + a.shape[1:])
-    filled = lengths > 0
-    if filled.any():
-        data[filled] = np.add.reduceat(a.data, offsets[:-1][filled], axis=0)
+    for step in range(lengths.max(initial=0)):
+        live = lengths > step
+        data[live] += a.data[offsets[:-1][live] + step]
 
     def backward(g):
         return (np.repeat(g, lengths, axis=0),)

@@ -131,10 +131,9 @@ class MmtModel:
         if isinstance(streams, Mapping):
             return audio_side(self.encode_audio([streams], attn_sink), experts)
         present, rows = gather_streams(experts, streams)
-        n_experts = len(experts)
         parts = [ad.stack([self.agg[e] for e in experts])]
         spans = {}  # expert -> (first source row, frame count) per item
-        cursor = n_experts
+        cursor = len(experts)
         for expert in experts:
             lengths = [f.shape[0] for f in rows[expert]]
             if 0 in lengths:
