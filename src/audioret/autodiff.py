@@ -14,6 +14,7 @@ from collections.abc import Sequence
 import numpy as np
 
 _GRAD_ENABLED = True
+_ROWWISE = False
 
 
 @contextlib.contextmanager
@@ -26,6 +27,25 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = previous
+
+
+@contextlib.contextmanager
+def rowwise(enabled: bool = True):
+    """With `enabled`, stacked_matmul's forward pass inside the block
+    multiplies each row on its own, one single-threaded einsum per row,
+    instead of in zero-padded ROW_BLOCK-row GEMMs. A single item then
+    costs one pass over each weight rather than a whole block, and it
+    never waits on a second BLAS thread: on a shared host a threaded
+    product stalls whenever either core is busy. Its bits can differ from
+    a block's in the last place, so an encoder uses it for a whole batch
+    of one item and never for part of a batch."""
+    global _ROWWISE
+    previous = _ROWWISE
+    _ROWWISE = enabled
+    try:
+        yield
+    finally:
+        _ROWWISE = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -261,7 +281,8 @@ def stacked_matmul(x, w) -> Tensor:
     The forward pass runs the rows through GEMMs of exactly ROW_BLOCK rows
     (zero-padding the last), so a row's result is bitwise the same whatever
     rows share its batch and wherever it sits; a GEMM's own per-row result
-    changes with its row count. The backward pass is one GEMM per operand.
+    changes with its row count. Inside `rowwise()` it is one einsum per
+    row instead. The backward pass is one GEMM per operand.
     """
     x, w = as_tensor(x), as_tensor(w)
     if w.ndim != 2 or x.shape[-1] != w.shape[0]:
@@ -269,14 +290,18 @@ def stacked_matmul(x, w) -> Tensor:
     rows = np.ascontiguousarray(x.data.reshape(-1, w.shape[0]))
     n = rows.shape[0]
     out = np.empty((n, w.shape[1]))
-    full = n - n % ROW_BLOCK
-    for start in range(0, full, ROW_BLOCK):
-        stop = start + ROW_BLOCK
-        np.matmul(rows[start:stop], w.data, out=out[start:stop])
-    if full < n:
-        tail = np.zeros((ROW_BLOCK, rows.shape[1]))
-        tail[: n - full] = rows[full:]
-        out[full:] = (tail @ w.data)[: n - full]
+    if _ROWWISE:
+        for i in range(n):
+            np.einsum("k,kn->n", rows[i], w.data, optimize=False, out=out[i])
+    else:
+        full = n - n % ROW_BLOCK
+        for start in range(0, full, ROW_BLOCK):
+            stop = start + ROW_BLOCK
+            np.matmul(rows[start:stop], w.data, out=out[start:stop])
+        if full < n:
+            tail = np.zeros((ROW_BLOCK, rows.shape[1]))
+            tail[: n - full] = rows[full:]
+            out[full:] = (tail @ w.data)[: n - full]
     data = out.reshape(x.shape[:-1] + (w.shape[1],))
 
     def backward(g):

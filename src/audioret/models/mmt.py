@@ -181,8 +181,9 @@ class MmtModel:
                              self.cfg.experts)
         pooled = np.stack([t.token_matrix[t.mask].mean(axis=0) if t.mask.any()
                            else np.zeros(t.token_matrix.shape[1]) for t in tokens])
-        return text_batch(self.text_units, self.weight_head, self.cfg.experts,
-                          pooled)
+        with ad.rowwise(len(tokens) == 1):
+            return text_batch(self.text_units, self.weight_head,
+                              self.cfg.experts, pooled)
 
     # -- parameters ----------------------------------------------------
 

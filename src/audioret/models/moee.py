@@ -77,11 +77,12 @@ class MoeeModel:
         if not isinstance(tokens, list):
             return text_side(self.encode_text([single_caption(tokens, mask)]),
                              self.cfg.experts)
-        # an all-OOV caption aggregates its zero rows themselves
-        pooled = self.text_vlad([t.token_matrix[t.mask] if t.mask.any()
-                                 else t.token_matrix for t in tokens])
-        return text_batch(self.text_units, self.weight_head, self.cfg.experts,
-                          pooled)
+        with ad.rowwise(len(tokens) == 1):
+            # an all-OOV caption aggregates its zero rows themselves
+            pooled = self.text_vlad([t.token_matrix[t.mask] if t.mask.any()
+                                     else t.token_matrix for t in tokens])
+            return text_batch(self.text_units, self.weight_head,
+                              self.cfg.experts, pooled)
 
     def encode_audio(self, streams):
         """Encode a list of stream mappings into an AudioBatch, or one
@@ -93,10 +94,11 @@ class MoeeModel:
         if isinstance(streams, Mapping):
             return audio_side(self._encode_audio([streams], gate), experts)
         present, rows = gather_streams(experts, streams)
-        pooled = {e: self.audio_vlad[e](rows[e]) for e in experts if rows[e]}
-        if gate is not None:
-            pooled = gate(pooled, present)
-        outputs = {e: self.audio_units[e](v) for e, v in pooled.items()}
+        with ad.rowwise(len(streams) == 1):
+            pooled = {e: self.audio_vlad[e](rows[e]) for e in experts if rows[e]}
+            if gate is not None:
+                pooled = gate(pooled, present)
+            outputs = {e: self.audio_units[e](v) for e, v in pooled.items()}
         return AudioBatch(expert_tensor(experts, outputs, present), present)
 
     # -- parameters ----------------------------------------------------

@@ -4,8 +4,10 @@ Each side is encoded as a batch (B x E x D expert vectors); entry (i, j)
 is the weighted sum of per-expert cosines between text i and audio j,
 with text i's softmax mixture weights renormalized over the experts
 present for audio j. Every layer computes an item's values independently
-of its batchmates, so the scalar score operations (the batched scorer at
-B=1), chunked evaluation and search all agree exactly.
+of its batchmates, so chunked evaluation agrees exactly with one big batch.
+A batch of one item runs row by row (autodiff.rowwise): the scalar score
+operations and search agree exactly with each other and with a one-caption
+matrix, and with a larger batch's row to rounding.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def batch_scores(model, texts: list[TextEmbedding],
 
 def _chunks(count: int) -> list[slice]:
     """Consecutive ENCODE_CHUNK-item slices; a one-item remainder joins
-    the slice before it."""
+    the slice before it, since a batch of one runs row by row."""
     starts = list(range(0, count, ENCODE_CHUNK))
     if len(starts) > 1 and count - starts[-1] == 1:
         starts.pop()

@@ -163,6 +163,35 @@ class TestBatchOps:
                 np.testing.assert_array_equal(got, base)
             np.testing.assert_allclose(base, x @ w, rtol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stacked_matmul_rowwise(self, seed):
+        rng = np.random.default_rng(seed)
+        x = _leaf(rng, 2, 3, 4)
+        w = _leaf(rng, 4, 5)
+
+        def build():
+            with ad.rowwise():
+                return ad.tsum(ad.sigmoid(ad.stacked_matmul(x, w)))
+
+        check_gradients(build, {"x": x, "w": w})
+
+    def test_rowwise_rows_ignore_batchmates_and_match_blocks(self):
+        """Row by row, a row's result is bitwise the same in any batch and
+        agrees with the block GEMM to rounding."""
+        rng = np.random.default_rng(1)
+        for k, n in ((300, 21), (512, 512), (7, 3)):
+            w = np.ascontiguousarray(rng.standard_normal((n, k))).T
+            x = rng.standard_normal((3, k))
+            with ad.rowwise():
+                base = ad.stacked_matmul(x, w).data
+                for count in (1, 4):
+                    mixed = np.vstack([rng.standard_normal((count, k)), x[::-1]])
+                    got = ad.stacked_matmul(mixed, w).data[count:][::-1]
+                    np.testing.assert_array_equal(got, base)
+            with ad.rowwise(False):
+                blocks = ad.stacked_matmul(x, w).data
+            np.testing.assert_allclose(base, blocks, rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_segment_matmul(self, seed):
         rng = np.random.default_rng(seed)

@@ -524,3 +524,27 @@ def test_batched_scores_match_reference_and_ignore_batchmates(arch, seed):
         if k < keep.size:
             np.testing.assert_array_equal(cols[:, pos], sim.values[:, keep[k]])
             np.testing.assert_array_equal(rows[pos], sim.values[keep[k]])
+
+
+@pytest.mark.parametrize("arch", ["moee", "ce", "mmt"])
+def test_only_single_item_batches_run_rowwise(arch, monkeypatch):
+    """A batch of one caption goes row by row and agrees with its row of a
+    larger batch to rounding; a larger batch never goes row by row."""
+    rng = np.random.default_rng(950)
+    model, dim = _random_model(arch, rng)
+    texts = [_random_caption(rng, dim, f"c{i}", 6) for i in range(3)]
+    clips = [_random_clip(rng, model, f"a{j}", 6) for j in range(3)]
+    modes = []
+    stacked_matmul = ad.stacked_matmul
+
+    def spy(x, w):
+        modes.append(ad._ROWWISE)
+        return stacked_matmul(x, w)
+
+    monkeypatch.setattr(ad, "stacked_matmul", spy)
+    sim = md.similarity_matrix(model, texts, clips)
+    assert modes and not any(modes)
+    modes.clear()
+    one = md.similarity_matrix(model, texts[:1], clips)
+    assert any(modes)
+    np.testing.assert_allclose(one.values[0], sim.values[0], rtol=0, atol=1e-12)
