@@ -14,9 +14,8 @@ import numpy as np
 
 from audioret import autodiff as ad
 from audioret.experts import TextEmbedding
-from audioret.models import (NetVlad, build_model, netvlad_aggregate,
-                             score_pair, similarity_matrix)
-from audioret.models.similarity import AudioClip
+from audioret.models import (AudioClip, NetVlad, batch_scores, build_model,
+                             similarity_matrix)
 
 rng = np.random.default_rng(0)
 
@@ -24,7 +23,7 @@ rng = np.random.default_rng(0)
 EXPERTS = ("timbre", "rhythm")
 DIMS = {"timbre": 6, "rhythm": 4}
 text = TextEmbedding("c0", rng.standard_normal((4, 5)), np.ones(4, dtype=bool))
-streams = {e: rng.standard_normal((7, DIMS[e])) for e in EXPERTS}
+clip = AudioClip("a0", {e: rng.standard_normal((7, DIMS[e])) for e in EXPERTS})
 
 # the same pair scored by all three architectures; each build_model call
 # gets small overrides so the demo stays instant
@@ -36,7 +35,8 @@ for arch, over in (("moee", tiny), ("ce", dict(tiny, gate_width=8)),
                                 max_frames=8))):
     model = build_model(arch, EXPERTS, DIMS, text_dim=5,
                         rng=np.random.default_rng(1), overrides=over)
-    s = score_pair(model, text, streams)
+    # every entry point takes batches: one pair is a batch of one each
+    s = batch_scores(model, [text], [clip])[0, 0]
     print(f"  {arch:4s} -> {float(s.data):+.4f}")
 
 # NetVLAD pooling is a soft assignment of frames to clusters followed by
@@ -44,8 +44,8 @@ for arch, over in (("moee", tiny), ("ce", dict(tiny, gate_width=8)),
 vlad = NetVlad(6, 3, 1, rng)
 frames = rng.standard_normal((10, 6))
 perm = rng.permutation(10)
-a = netvlad_aggregate(frames, vlad).data
-b = netvlad_aggregate(frames[perm], vlad).data
+a = vlad([frames]).data[0]
+b = vlad([frames[perm]]).data[0]
 print(f"\nNetVLAD descriptor dim {a.shape[0]}, "
       f"permuted frames give identical output: {np.array_equal(a, b)}")
 print(f"descriptor norm (always 1): {np.linalg.norm(a):.12f}")
@@ -54,8 +54,7 @@ print(f"descriptor norm (always 1): {np.linalg.norm(a):.12f}")
 # the weights are nonnegative and sum to one
 moee = build_model("moee", EXPERTS, DIMS, text_dim=5,
                    rng=np.random.default_rng(1), overrides=tiny)
-side = moee.encode_text(text.token_matrix, text.mask)
-w = side.weights.data
+w = moee.encode_text([text]).weights.data[0]
 print(f"\nmixture weights {np.round(w, 4)}, sum = {w.sum():.12f}")
 
 # a retrieval pool is just lists of captions and clips; the similarity
@@ -76,7 +75,7 @@ for i, cid in enumerate(sim.row_ids):
 
 # scores are differentiable end to end: backprop from a single score
 # reaches every parameter tensor in the model
-loss = score_pair(moee, text, streams)
+loss = batch_scores(moee, [text], [clip])[0, 0]
 loss.backward()
 grads = {n: p.grad for n, p in moee.named_parameters().items()}
 nonzero = sum(1 for g in grads.values() if g is not None and np.abs(g).max() > 0)

@@ -232,36 +232,27 @@ def div(a, b) -> Tensor:
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
-        raise ValueError("matmul supports 1-D and 2-D operands only")
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ValueError("matmul supports 2-D operands only")
     data = ad @ bd
 
     def backward(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if ad.ndim == 2 and bd.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
-        if ad.ndim == 1 and bd.ndim == 2:
-            return g @ bd.T, np.outer(ad, g)
-        return g * bd, g * ad  # 1-D dot
+        return g @ bd.T, ad.T @ g
 
     return _make(data, (a, b), backward)
 
 
 def pairwise_inner(a, b) -> Tensor:
-    """s[i, j] = <a_i, b_j>, or s[i, j, e] = <a_ie, b_je> for 3-D operands,
+    """s[i, j, e] = <a_ie, b_je> for Bt x E x D and Ba x E x D operands,
     with each entry reduced independently.
 
     The forward pass uses einsum without optimization so the reduction for
     an entry never depends on which other rows are in the batch.
     """
     a, b = as_tensor(a), as_tensor(b)
-    spec = "ie,je->ij" if a.ndim == 2 else "ied,jed->ije"
-    data = np.einsum(spec, a.data, b.data, optimize=False)
+    data = np.einsum("ied,jed->ije", a.data, b.data, optimize=False)
 
     def backward(g):
-        if a.ndim == 2:
-            return g @ b.data, g.T @ a.data
         per_expert = g.transpose(2, 0, 1)  # E x Bt x Ba
         ga = per_expert @ b.data.transpose(1, 0, 2)
         gb = per_expert.transpose(0, 2, 1) @ a.data.transpose(1, 0, 2)
@@ -612,13 +603,6 @@ def softmax(a, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
 EPS = 1e-12
 
 
-def l2_normalize(a, eps: float = EPS) -> Tensor:
-    """a / max(||a||_2, eps) over the full array."""
-    a = as_tensor(a)
-    norm = sqrt(tsum(square(a)))
-    return div(a, clip_min(norm, eps))
-
-
 def row_normalize(a, eps: float = EPS) -> Tensor:
     """Normalize every vector along the last axis to unit length
     (eps-guarded)."""
@@ -630,9 +614,3 @@ def row_normalize(a, eps: float = EPS) -> Tensor:
 def dot(a, b) -> Tensor:
     return tsum(mul(a, b))
 
-
-def cosine(a, b, eps: float = EPS) -> Tensor:
-    """Cosine similarity of two 1-D tensors."""
-    na = clip_min(sqrt(tsum(square(a))), eps)
-    nb = clip_min(sqrt(tsum(square(b))), eps)
-    return div(dot(a, b), mul(na, nb))

@@ -1,8 +1,7 @@
 """Shared encoder blocks: soft-assignment pooling and gated projections.
 
-All blocks build autodiff graphs over float64 Tensors, take a single
-item or a whole batch, and expose their trainable leaves through
-named_parameters().
+All blocks build autodiff graphs over float64 Tensors, take a whole
+batch, and expose their trainable leaves through named_parameters().
 """
 
 from __future__ import annotations
@@ -37,26 +36,6 @@ class AudioBatch:
     present: np.ndarray
 
 
-@dataclass
-class TextSide:
-    """One caption's encoding: per-expert unit vectors + mixture weights."""
-
-    vectors: dict[str, ad.Tensor]
-    weights: ad.Tensor  # (n_experts,), softmax over the configured order
-
-
-def text_side(batch: TextBatch, experts: tuple[str, ...]) -> TextSide:
-    """The single caption of a batch of one."""
-    return TextSide({e: batch.vectors[0, i] for i, e in enumerate(experts)},
-                    batch.weights[0])
-
-
-def audio_side(batch: AudioBatch, experts: tuple[str, ...]) -> dict[str, ad.Tensor]:
-    """The present experts' vectors of the single clip of a batch of one."""
-    return {e: batch.vectors[0, i] for i, e in enumerate(experts)
-            if batch.present[0, i]}
-
-
 def text_batch(units: dict, head, experts: tuple[str, ...], pooled) -> TextBatch:
     """Per-expert gated units and the softmax mixture head over B pooled
     caption vectors."""
@@ -64,7 +43,19 @@ def text_batch(units: dict, head, experts: tuple[str, ...], pooled) -> TextBatch
     return TextBatch(vectors, ad.softmax(head(pooled)))
 
 
-# -- batch assembly ----------------------------------------------------
+# -- configuration and batch assembly ------------------------------------
+
+
+def check_experts(experts: tuple[str, ...], expert_dims: dict[str, int]) -> None:
+    """Reject an empty or repeated expert list and experts without a
+    recorded feature dimension."""
+    if not experts:
+        raise ValueError("expert list is empty")
+    if len(set(experts)) != len(experts):
+        raise ValueError("duplicate expert in config")
+    missing = [e for e in experts if e not in expert_dims]
+    if missing:
+        raise ValueError(f"no dimension recorded for experts: {missing}")
 
 
 def stream_rows(value) -> np.ndarray:
@@ -198,18 +189,9 @@ class NetVlad:
     def output_dim(self) -> int:
         return self.clusters * self.input_dim
 
-    def __call__(self, frames, mask: np.ndarray | None = None) -> ad.Tensor:
-        """Pool one T x D frame matrix (rows where `mask` is False left out)
-        into a K*D vector, or a list of valid-frame matrices into B x K*D.
-        Frames are data: no gradient flows back to them."""
-        if isinstance(frames, list):
-            return self._pool(frames)
-        frames = ad.as_tensor(frames).data
-        if mask is not None:
-            frames = frames[np.asarray(mask, dtype=bool)]
-        return ad.reshape(self._pool([frames]), (self.output_dim,))
-
-    def _pool(self, streams: list) -> ad.Tensor:
+    def __call__(self, streams: list) -> ad.Tensor:
+        """Pool a list of valid-frame matrices into B x K*D. Frames are
+        data: no gradient flows back to them."""
         streams = [np.asarray(f, dtype=np.float64) for f in streams]
         for frames in streams:
             if frames.ndim != 2 or frames.shape[1] != self.input_dim:

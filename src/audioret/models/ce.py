@@ -38,23 +38,18 @@ class CeModel(MoeeModel):
         self.pair_fc1 = Linear(2 * width, width, rng)
         self.pair_fc2 = Linear(width, width, rng)
 
-    def collaborative_gate(self, expert_vectors: dict, present=None) -> dict:
+    def collaborative_gate(self, expert_vectors: dict,
+                           present: np.ndarray) -> dict:
         """Mask and modulate pooled expert vectors using pairwise context.
 
-        With the B x E presence mask given, expert_vectors[e] stacks one
-        row per item that has expert e, in batch order, and every ordered
-        pair of an item's present experts goes through the pair MLP as one
-        batch. Without it, the vectors are one sample's.
+        expert_vectors[e] stacks one row per item that has expert e, in
+        batch order, as the B x E presence mask `present` says; every
+        ordered pair of an item's present experts goes through the pair
+        MLP as one batch.
         """
         if not expert_vectors:
             raise ValueError("no expert vectors to gate")
         experts = self.cfg.experts
-        if present is None:
-            present = np.array([[e in expert_vectors for e in experts]])
-            gated = self.collaborative_gate(
-                {e: ad.reshape(ad.as_tensor(v), (1, -1))
-                 for e, v in expert_vectors.items()}, present)
-            return {e: ad.reshape(v, (-1,)) for e, v in gated.items()}
         source, index = expert_rows(
             experts, {e: self.gate_in[e](v) for e, v in expert_vectors.items()},
             present)

@@ -15,15 +15,14 @@ gated units and a softmax mixture head, mirroring the other models.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import autodiff as ad
-from .blocks import (AudioBatch, GatedUnit, Linear, audio_side, collect,
-                     gather_streams, text_batch, text_side, uniform_init)
-from .moee import single_caption
+from ..experts import TextEmbedding
+from .blocks import (AudioBatch, GatedUnit, Linear, check_experts, collect,
+                     gather_streams, text_batch, uniform_init)
 
 LN_EPS = 1e-5
 
@@ -41,13 +40,7 @@ class MmtConfig:
 
     def __post_init__(self):
         self.experts = tuple(self.experts)
-        if not self.experts:
-            raise ValueError("expert list is empty")
-        if len(set(self.experts)) != len(self.experts):
-            raise ValueError("duplicate expert in config")
-        missing = [e for e in self.experts if e not in self.expert_dims]
-        if missing:
-            raise ValueError(f"no dimension recorded for experts: {missing}")
+        check_experts(self.experts, self.expert_dims)
         if self.model_dim % self.heads != 0:
             raise ValueError("model_dim must be divisible by heads")
 
@@ -119,17 +112,14 @@ class MmtModel:
 
     # -- audio side ----------------------------------------------------
 
-    def encode_audio(self, streams, attn_sink: list | None = None):
+    def encode_audio(self, streams: list, attn_sink: list | None = None):
         """Encode a list of stream mappings into an AudioBatch of final
-        aggregation-token states, or one sample's mapping into
-        {expert: state} (the batch path at B=1).
+        aggregation-token states.
 
         Projections, LayerNorm and feed-forward layers run once over all
         items' concatenated valid frames.
         """
         experts = self.cfg.experts
-        if isinstance(streams, Mapping):
-            return audio_side(self.encode_audio([streams], attn_sink), experts)
         present, rows = gather_streams(experts, streams)
         parts = [ad.stack([self.agg[e] for e in experts])]
         spans = {}  # expert -> (first source row, frame count) per item
@@ -169,19 +159,15 @@ class MmtModel:
 
     # -- text side -----------------------------------------------------
 
-    def encode_text(self, tokens, mask: np.ndarray | None = None):
-        """Encode a list of captions (TextEmbedding) into a TextBatch, or
-        one T x D token matrix into a TextSide (the batch path at B=1).
+    def encode_text(self, captions: list[TextEmbedding]):
+        """Encode a list of captions into a TextBatch.
 
         A caption's pooled vector is the mean of its valid token rows, or
         zero when it has none.
         """
-        if not isinstance(tokens, list):
-            return text_side(self.encode_text([single_caption(tokens, mask)]),
-                             self.cfg.experts)
         pooled = np.stack([t.token_matrix[t.mask].mean(axis=0) if t.mask.any()
-                           else np.zeros(t.token_matrix.shape[1]) for t in tokens])
-        with ad.rowwise(len(tokens) == 1):
+                           else np.zeros(t.token_matrix.shape[1]) for t in captions])
+        with ad.rowwise(len(captions) == 1):
             return text_batch(self.text_units, self.weight_head,
                               self.cfg.experts, pooled)
 

@@ -9,24 +9,14 @@ the experts present for the audio sample.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import autodiff as ad
 from ..experts import TextEmbedding
-from .blocks import (AudioBatch, GatedUnit, Linear, NetVlad, audio_side,
-                     collect, expert_tensor, gather_streams, text_batch,
-                     text_side)
-
-
-def single_caption(tokens, mask: np.ndarray | None) -> TextEmbedding:
-    """One token matrix as a caption; no mask means every row is valid."""
-    tokens = np.asarray(tokens, dtype=np.float64)
-    if mask is None:
-        mask = np.ones(tokens.shape[0], dtype=bool)
-    return TextEmbedding("query", tokens, mask)
+from .blocks import (AudioBatch, GatedUnit, Linear, NetVlad, check_experts,
+                     collect, expert_tensor, gather_streams, text_batch)
 
 
 @dataclass
@@ -42,13 +32,7 @@ class MoeeConfig:
 
     def __post_init__(self):
         self.experts = tuple(self.experts)
-        if not self.experts:
-            raise ValueError("expert list is empty")
-        if len(set(self.experts)) != len(self.experts):
-            raise ValueError("duplicate expert in config")
-        missing = [e for e in self.experts if e not in self.expert_dims]
-        if missing:
-            raise ValueError(f"no dimension recorded for experts: {missing}")
+        check_experts(self.experts, self.expert_dims)
 
 
 class MoeeModel:
@@ -71,28 +55,21 @@ class MoeeModel:
 
     # -- encoding ------------------------------------------------------
 
-    def encode_text(self, tokens, mask: np.ndarray | None = None):
-        """Encode a list of captions (TextEmbedding) into a TextBatch, or
-        one T x D token matrix into a TextSide (the batch path at B=1)."""
-        if not isinstance(tokens, list):
-            return text_side(self.encode_text([single_caption(tokens, mask)]),
-                             self.cfg.experts)
-        with ad.rowwise(len(tokens) == 1):
+    def encode_text(self, captions: list[TextEmbedding]):
+        """Encode a list of captions into a TextBatch."""
+        with ad.rowwise(len(captions) == 1):
             # an all-OOV caption aggregates its zero rows themselves
             pooled = self.text_vlad([t.token_matrix[t.mask] if t.mask.any()
-                                     else t.token_matrix for t in tokens])
+                                     else t.token_matrix for t in captions])
             return text_batch(self.text_units, self.weight_head,
                               self.cfg.experts, pooled)
 
-    def encode_audio(self, streams):
-        """Encode a list of stream mappings into an AudioBatch, or one
-        sample's mapping into {expert: vector} (the batch path at B=1)."""
+    def encode_audio(self, streams: list):
+        """Encode a list of stream mappings into an AudioBatch."""
         return self._encode_audio(streams, gate=None)
 
     def _encode_audio(self, streams, gate):
         experts = self.cfg.experts
-        if isinstance(streams, Mapping):
-            return audio_side(self._encode_audio([streams], gate), experts)
         present, rows = gather_streams(experts, streams)
         with ad.rowwise(len(streams) == 1):
             pooled = {e: self.audio_vlad[e](rows[e]) for e in experts if rows[e]}

@@ -5,9 +5,9 @@ is the weighted sum of per-expert cosines between text i and audio j,
 with text i's softmax mixture weights renormalized over the experts
 present for audio j. Every layer computes an item's values independently
 of its batchmates, so chunked evaluation agrees exactly with one big batch.
-A batch of one item runs row by row (autodiff.rowwise): the scalar score
-operations and search agree exactly with each other and with a one-caption
-matrix, and with a larger batch's row to rounding.
+A batch of one item runs row by row (autodiff.rowwise): a search query
+agrees exactly with a one-caption matrix, and with a larger batch's row
+to rounding.
 """
 
 from __future__ import annotations
@@ -94,12 +94,3 @@ def similarity_matrix(model, texts: list[TextEmbedding],
     return SimilarityMatrix(values, [t.caption_id for t in texts],
                             [c.sample_id for c in clips])
 
-
-def score_pair(model, text: TextEmbedding, streams) -> ad.Tensor:
-    """Scalar (0-d) score of one caption against one sample's streams."""
-    if isinstance(streams, AudioClip):
-        clip = streams
-    else:
-        clip = AudioClip("query", dict(streams))
-    scores = batch_scores(model, [text], [clip])
-    return ad.reshape(scores, ())

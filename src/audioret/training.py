@@ -73,7 +73,6 @@ class TrainConfig:
     seed: int = 0
     word_cap: int | None = None
     frame_caps: dict[str, int] = field(default_factory=dict)
-    checkpoint_every: int | None = None   # extra snapshots every N val points
     log_path: str | None = None
 
     def __post_init__(self):
@@ -274,20 +273,18 @@ def train(model, corpus: Corpus, store, text_source, cfg: TrainConfig,
 
     history: list[tuple[int, MetricsReport]] = []
     log_lines: list[str] = []
-    best: tuple[float, int, dict[str, np.ndarray]] | None = None
+    best_params: dict[str, np.ndarray] = {}
     step = 0
     window: list[float] = []
 
     def run_validation() -> None:
-        nonlocal best
         report = _validate(model, val_texts, val_clips, val_gt)
         mean_loss = float(np.mean(window)) if window else float("nan")
         window.clear()
         history.append((step, report))
         log_lines.append(_log_line(step, "val", mean_loss, report))
-        score = selection_score(report)
-        if best is None or score > best[0]:
-            best = (score, step, {k: p.data.copy() for k, p in params.items()})
+        if select_best(history) == len(history) - 1:
+            best_params.update((k, p.data.copy()) for k, p in params.items())
 
     def run_batch(batch) -> None:
         nonlocal step
@@ -330,9 +327,10 @@ def train(model, corpus: Corpus, store, text_source, cfg: TrainConfig,
     if cfg.log_path:
         Path(cfg.log_path).write_text(
             ",".join(LOG_FIELDS) + "\n" + "\n".join(log_lines) + "\n")
-    score, best_step, best_params = best
+    best_step, report = history[select_best(history)]
     return Checkpoint(cfg.architecture, model.config_dict(), best_params,
-                      cfg, history, score, best_step, log_lines)
+                      cfg, history, selection_score(report), best_step,
+                      log_lines)
 
 
 def finetune(ckpt: Checkpoint, corpus: Corpus, store, text_source,

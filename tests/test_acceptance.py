@@ -19,6 +19,8 @@ from audioret import autodiff as ad
 from audioret.corpus import Corpus, SampleRecord, SplitSpec, assign_splits
 from audioret.evaluation import (GroundTruth, MetricsReport, aggregate_seeds,
                                  compute_metrics)
+from audioret.experts import AudioClip, TextEmbedding
+from audioret.models.blocks import stream_rows
 from audioret.models.similarity import SimilarityMatrix
 from audioret.synthetic import make_synthetic_benchmark
 from helpers import check_gradients
@@ -142,7 +144,6 @@ def _tiny_mmt(rng):
 
 
 def _text_clip(rng, dims, word_dim, frames=3):
-    from audioret.experts import AudioClip, TextEmbedding
     text = TextEmbedding("c", rng.standard_normal((3, word_dim)),
                          np.ones(3, dtype=bool))
     clip = AudioClip("a", {e: rng.standard_normal((frames, d))
@@ -154,7 +155,7 @@ def _netvlad_instance(rng):
     block = md.NetVlad(3, 2, 1, rng)
     frames = rng.standard_normal((4, 3))
     probe = rng.standard_normal(block.output_dim)
-    check_gradients(lambda: ad.dot(block(frames), probe),
+    check_gradients(lambda: ad.dot(block([frames]), probe),
                     block.named_parameters())
 
 
@@ -162,7 +163,7 @@ def _gated_instance(rng):
     unit = md.GatedUnit(4, 3, rng)
     x = rng.standard_normal(4)
     probe = rng.standard_normal(3)
-    check_gradients(lambda: ad.dot(md.gated_embed(x, unit), probe),
+    check_gradients(lambda: ad.dot(unit(x), probe),
                     unit.named_parameters())
 
 
@@ -175,7 +176,8 @@ def _collab_instance(rng):
                    if any(s in n for s in ("gate_in", "gate_out", "pair_fc"))}
 
     def build():
-        gated = md.collaborative_gate(vectors, model)
+        gated = model.collaborative_gate({e: v[None] for e, v in vectors.items()},
+                                         np.ones((1, 2), dtype=bool))
         total = None
         for e in sorted(gated):
             term = ad.dot(gated[e], probes[e])
@@ -188,21 +190,21 @@ def _collab_instance(rng):
 def _moee_instance(rng):
     model = _tiny_moee(rng)
     text, clip = _text_clip(rng, {"p": 3, "q": 3}, word_dim=3)
-    check_gradients(lambda: md.moee_score(text, clip.streams, model),
+    check_gradients(lambda: md.batch_scores(model, [text], [clip])[0, 0],
                     model.named_parameters())
 
 
 def _ce_instance(rng):
     model = _tiny_ce(rng)
     text, clip = _text_clip(rng, {"p": 3, "q": 3}, word_dim=3)
-    check_gradients(lambda: md.ce_score(text, clip.streams, model),
+    check_gradients(lambda: md.batch_scores(model, [text], [clip])[0, 0],
                     model.named_parameters())
 
 
 def _mmt_instance(rng):
     model = _tiny_mmt(rng)
     text, clip = _text_clip(rng, {"p": 3, "q": 2}, word_dim=4)
-    check_gradients(lambda: md.mmt_score(text, clip.streams, model),
+    check_gradients(lambda: md.batch_scores(model, [text], [clip])[0, 0],
                     model.named_parameters())
 
 
@@ -251,20 +253,22 @@ def test_4_structural_invariants(capsys):
     # order/padding invariance of the frame aggregator, bitwise
     block = md.NetVlad(4, 3, 1, rng)
     frames = rng.standard_normal((6, 4))
-    base = block(frames).data
-    np.testing.assert_array_equal(block(frames[rng.permutation(6)]).data, base)
+    base = block([frames]).data
+    np.testing.assert_array_equal(block([frames[rng.permutation(6)]]).data, base)
     padded = np.vstack([frames, 1e6 * np.ones((2, 4))])
     mask = np.array([True] * 6 + [False] * 2)
-    np.testing.assert_array_equal(block(padded, mask).data, base)
+    np.testing.assert_array_equal(block([stream_rows((padded, mask))]).data, base)
 
     # unit-norm gated outputs and convex mixture weights
     worst_norm = worst_sum = 0.0
     for _ in range(20):
         unit = md.GatedUnit(5, 4, rng)
-        out = md.gated_embed(rng.standard_normal(5), unit).data
+        out = unit(rng.standard_normal(5)).data
         worst_norm = max(worst_norm, abs(np.linalg.norm(out) - 1.0))
         model = _tiny_moee(rng)
-        weights = model.encode_text(rng.standard_normal((4, 3))).weights.data
+        caption = TextEmbedding("c", rng.standard_normal((4, 3)),
+                                np.ones(4, dtype=bool))
+        weights = model.encode_text([caption]).weights.data
         assert (weights >= 0).all()
         worst_sum = max(worst_sum, abs(weights.sum() - 1.0))
     assert worst_norm < 1e-6 and worst_sum < 1e-6
@@ -284,7 +288,7 @@ def test_4_structural_invariants(capsys):
         ce.gate_out[e].b.data[:] = 50.0
     from helpers import ref_moee_score
     text, clip = _text_clip(rng, {"p": 3, "q": 3}, 3)
-    gap = abs(md.ce_score(text, clip.streams, ce).item()
+    gap = abs(md.batch_scores(ce, [text], [clip])[0, 0].item()
               - ref_moee_score(ce, text.token_matrix, text.mask, clip.streams))
     assert gap < 1e-4
     _verdict(capsys, 4, True,

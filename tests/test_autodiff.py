@@ -30,13 +30,13 @@ class TestPrimitives:
         rng = np.random.default_rng(seed)
         w = _leaf(rng, 4, 6)
         m = _leaf(rng, 6, 3)
-        v = _leaf(rng, 6)
+        v = _leaf(rng, 6, 1)
 
         def build():
             mat = ad.matmul(w, m)          # (4, 3)
-            vec = ad.matmul(w, v)          # (4,)
-            back = ad.matmul(v, ad.transpose(w))  # (4,)
-            return ad.tsum(ad.sigmoid(mat)) + ad.dot(vec, back)
+            col = ad.matmul(w, v)          # (4, 1)
+            row = ad.matmul(ad.transpose(v), ad.transpose(w))  # (1, 4)
+            return ad.tsum(ad.sigmoid(mat)) + ad.dot(col, ad.transpose(row))
 
         check_gradients(build, {"w": w, "m": m, "v": v})
 
@@ -95,16 +95,17 @@ class TestPrimitives:
         m = _leaf(rng, 3, 5)
 
         def build():
-            return ad.cosine(u, v) + ad.tsum(ad.row_normalize(m)) \
-                + ad.tsum(ad.l2_normalize(u + v))
+            cosine = ad.dot(ad.row_normalize(u), ad.row_normalize(v))
+            return cosine + ad.tsum(ad.row_normalize(m)) \
+                + ad.tsum(ad.row_normalize(u + v))
 
         check_gradients(build, {"u": u, "v": v, "m": m})
 
     @pytest.mark.parametrize("seed", range(5))
     def test_pairwise_inner(self, seed):
         rng = np.random.default_rng(seed)
-        a = _leaf(rng, 4, 6)
-        b = _leaf(rng, 5, 6)
+        a = _leaf(rng, 4, 2, 6)
+        b = _leaf(rng, 5, 2, 6)
 
         def build():
             s = ad.pairwise_inner(a, b)
@@ -114,10 +115,12 @@ class TestPrimitives:
 
     def test_pairwise_inner_matches_matmul(self):
         rng = np.random.default_rng(0)
-        a = rng.standard_normal((6, 9))
-        b = rng.standard_normal((7, 9))
+        a = rng.standard_normal((6, 2, 9))
+        b = rng.standard_normal((7, 2, 9))
         got = ad.pairwise_inner(ad.Tensor(a), ad.Tensor(b)).data
-        np.testing.assert_allclose(got, a @ b.T, rtol=1e-12)
+        for e in range(2):
+            np.testing.assert_allclose(got[:, :, e], a[:, e] @ b[:, e].T,
+                                       rtol=1e-12)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_clip_min_gradient(self, seed):

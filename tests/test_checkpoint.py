@@ -61,6 +61,54 @@ class TestRoundTrip:
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
+class TestOlderArchives:
+    def _rewrite(self, path, out, compression, edit=None):
+        with zipfile.ZipFile(path) as archive, \
+                zipfile.ZipFile(out, "w", compression=compression) as copy:
+            for name in archive.namelist():
+                blob = archive.read(name)
+                if name == "manifest.json" and edit is not None:
+                    manifest = json.loads(blob)
+                    edit(manifest)
+                    blob = json.dumps(manifest)
+                copy.writestr(name, blob)
+        return out
+
+    def test_tensors_are_stored_uncompressed(self, trained, tmp_path):
+        _, ckpt = trained
+        path = save_checkpoint(ckpt, tmp_path / "m.ckpt")
+        with zipfile.ZipFile(path) as archive:
+            kinds = {info.compress_type for info in archive.infolist()}
+        assert kinds == {zipfile.ZIP_STORED}
+
+    def test_deflated_archive_loads_bit_for_bit(self, trained, tmp_path):
+        _, ckpt = trained
+        path = save_checkpoint(ckpt, tmp_path / "m.ckpt")
+        deflated = self._rewrite(path, tmp_path / "deflated.ckpt",
+                                 zipfile.ZIP_DEFLATED)
+        with zipfile.ZipFile(deflated) as archive:
+            kinds = {info.compress_type for info in archive.infolist()}
+        assert kinds == {zipfile.ZIP_DEFLATED}
+        want, got = load_checkpoint(path), load_checkpoint(deflated)
+        assert sorted(got.params) == sorted(want.params)
+        for name, arr in want.params.items():
+            np.testing.assert_array_equal(got.params[name], arr)
+        assert got.train_config == want.train_config
+        assert got.history == want.history
+
+    def test_manifest_with_checkpoint_every_loads(self, trained, tmp_path):
+        _, ckpt = trained
+        path = save_checkpoint(ckpt, tmp_path / "m.ckpt")
+        old = self._rewrite(
+            path, tmp_path / "old.ckpt", zipfile.ZIP_DEFLATED,
+            edit=lambda m: m["train_config"].update(checkpoint_every=None))
+        with zipfile.ZipFile(old) as archive:
+            manifest = json.loads(archive.read("manifest.json"))
+        assert manifest["train_config"]["checkpoint_every"] is None
+        back = load_checkpoint(old)
+        assert back.train_config == ckpt.train_config
+
+
 class TestCorruption:
     def _saved(self, trained, tmp_path):
         _, ckpt = trained

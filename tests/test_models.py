@@ -6,6 +6,7 @@ import pytest
 from audioret import autodiff as ad
 from audioret import models as md
 from audioret.experts import AudioClip, TextEmbedding
+from audioret.models.blocks import stream_rows
 from helpers import (check_gradients, ref_ce_score, ref_gated_unit,
                      ref_mmt_score, ref_moee_score, ref_netvlad)
 
@@ -51,39 +52,40 @@ class TestNetVlad:
         rng = np.random.default_rng(0)
         block = md.NetVlad(4, 3, 1, rng)
         frames = rng.standard_normal((7, 4))
-        base = block(frames).data
+        base = block([frames]).data
         for _ in range(5):
             perm = rng.permutation(7)
-            np.testing.assert_array_equal(block(frames[perm]).data, base)
+            np.testing.assert_array_equal(block([frames[perm]]).data, base)
 
     def test_padding_bit_identical(self):
         rng = np.random.default_rng(1)
         block = md.NetVlad(4, 3, 1, rng)
         frames = rng.standard_normal((5, 4))
-        base = block(frames).data
+        base = block([frames]).data
         padded = np.vstack([frames, rng.standard_normal((3, 4)) * 100])
         mask = np.array([True] * 5 + [False] * 3)
-        np.testing.assert_array_equal(block(padded, mask).data, base)
+        np.testing.assert_array_equal(block([stream_rows((padded, mask))]).data,
+                                      base)
 
     def test_output_dim_text_config(self):
         rng = np.random.default_rng(2)
         word_dim = 6
         block = md.NetVlad(word_dim, 20, 1, rng)
-        out = md.netvlad_aggregate(rng.standard_normal((9, word_dim)), block)
-        assert out.shape == (20 * word_dim,)
+        out = block([rng.standard_normal((9, word_dim))])
+        assert out.shape == (1, 20 * word_dim)
 
     def test_zero_residual_passes_through_guard(self):
         """A single frame sitting exactly on the only center yields zero."""
         rng = np.random.default_rng(3)
         block = md.NetVlad(4, 1, 0, rng)
         frame = block.centers.data[0].copy()
-        out = block(frame[None, :]).data
-        np.testing.assert_array_equal(out, np.zeros(4))
+        out = block([frame[None, :]]).data
+        np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
     def test_all_masked_errors(self):
         block = md.NetVlad(4, 2, 0, np.random.default_rng(4))
         with pytest.raises(ValueError, match="masked"):
-            block(np.zeros((3, 4)), np.zeros(3, dtype=bool))
+            block([stream_rows((np.zeros((3, 4)), np.zeros(3, dtype=bool)))])
 
     def test_matches_reference(self):
         rng = np.random.default_rng(5)
@@ -92,7 +94,8 @@ class TestNetVlad:
             frames = rng.standard_normal((6, 3))
             expected = ref_netvlad(frames, block.centers.data, block.assign_w.data,
                                    block.assign_b.data, block.clusters)
-            np.testing.assert_allclose(block(frames).data, expected, atol=1e-12)
+            np.testing.assert_allclose(block([frames]).data[0], expected,
+                                       atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_gradients(self, seed):
@@ -102,7 +105,7 @@ class TestNetVlad:
         probe = rng.standard_normal(block.output_dim)
 
         def build():
-            return ad.dot(block(frames), probe)
+            return ad.dot(block([frames]), probe)
 
         check_gradients(build, block.named_parameters())
 
@@ -112,7 +115,7 @@ class TestGatedUnit:
         rng = np.random.default_rng(0)
         for _ in range(10):
             unit = md.GatedUnit(6, 4, rng)
-            out = md.gated_embed(rng.standard_normal(6), unit).data
+            out = unit(rng.standard_normal(6)).data
             assert abs(np.linalg.norm(out) - 1.0) < 1e-6
 
     def test_constant_gate_preserves_direction(self):
@@ -159,7 +162,7 @@ class TestMoee:
         target = np.array([1.0, 0.0, 0.0])
         _rig_unit(model.text_units["p"], target)
         _rig_unit(model.audio_units["p"], target)
-        score = md.moee_score(_text(rng), _clip(rng, ("p",)).streams, model)
+        score = md.batch_scores(model, [_text(rng)], [_clip(rng, ("p",))])[0, 0]
         assert abs(score.item() - 1.0) < 1e-12
 
     def test_convex_combination_half(self):
@@ -172,7 +175,7 @@ class TestMoee:
         _rig_unit(model.audio_units["p"], e1)  # cosine 1
         _rig_unit(model.text_units["q"], e1)
         _rig_unit(model.audio_units["q"], e2)  # cosine 0
-        score = md.moee_score(_text(rng), _clip(rng).streams, model)
+        score = md.batch_scores(model, [_text(rng)], [_clip(rng)])[0, 0]
         assert abs(score.item() - 0.5) < 1e-12
 
     def test_compositional_oracle(self):
@@ -182,7 +185,7 @@ class TestMoee:
             model = _moee(rng)
             text = _text(rng)
             clip = _clip(rng)
-            got = md.moee_score(text, clip.streams, model).item()
+            got = md.batch_scores(model, [text], [clip])[0, 0].item()
             want = ref_moee_score(model, text.token_matrix, text.mask, clip.streams)
             assert abs(got - want) < 1e-6
 
@@ -191,7 +194,8 @@ class TestMoee:
         model = _moee(rng)
         text = _text(rng)
         only_p = {"p": _clip(rng).streams["p"]}
-        score = md.moee_score(text, only_p, model).item()
+        clip = AudioClip("a0", only_p)
+        score = md.batch_scores(model, [text], [clip])[0, 0].item()
         want = ref_moee_score(model, text.token_matrix, text.mask, only_p)
         assert abs(score - want) < 1e-6
 
@@ -199,20 +203,21 @@ class TestMoee:
         rng = np.random.default_rng(4)
         for _ in range(20):
             model = _moee(rng)
-            side = model.encode_text(rng.standard_normal((4, 3)))
+            side = model.encode_text([TextEmbedding(
+                "c", rng.standard_normal((4, 3)), np.ones(4, dtype=bool))])
             w = side.weights.data
             assert (w >= 0).all() and abs(w.sum() - 1.0) < 1e-6
 
     def test_no_experts_errors(self):
         model = _moee(np.random.default_rng(5))
         with pytest.raises(ValueError, match="no experts"):
-            model.encode_audio({})
+            model.encode_audio([{}])
 
     def test_unknown_expert_rejected(self):
         rng = np.random.default_rng(6)
         model = _moee(rng)
         with pytest.raises(KeyError, match="unconfigured"):
-            model.encode_audio({"zz": np.zeros((2, 3))})
+            model.encode_audio([{"zz": np.zeros((2, 3))}])
 
     @pytest.mark.parametrize("seed", range(3))
     def test_score_gradients(self, seed):
@@ -222,7 +227,7 @@ class TestMoee:
         clip = _clip(rng)
 
         def build():
-            return md.moee_score(text, clip.streams, model)
+            return md.batch_scores(model, [text], [clip])[0, 0]
 
         check_gradients(build, model.named_parameters())
 
@@ -233,7 +238,8 @@ class TestCe:
         model = _ce(rng)
         pooled = {e: ad.Tensor(rng.standard_normal(model.audio_vlad[e].output_dim))
                   for e in ("p", "q")}
-        gated = md.collaborative_gate({e: v.data for e, v in pooled.items()}, model)
+        gated = model.collaborative_gate(
+            {e: v.data[None] for e, v in pooled.items()}, np.ones((1, 2), dtype=bool))
         for e, v in pooled.items():
             ratio = gated[e].data / v.data
             assert ((ratio > 0) & (ratio < 1)).all()
@@ -242,7 +248,8 @@ class TestCe:
         rng = np.random.default_rng(1)
         model = _ce(rng, experts=("p",))
         v = rng.standard_normal(model.audio_vlad["p"].output_dim)
-        got = model.collaborative_gate({"p": ad.Tensor(v)})["p"].data
+        got = model.collaborative_gate({"p": ad.Tensor(v[None])},
+                                       np.ones((1, 1), dtype=bool))["p"].data[0]
         proj = model.gate_in["p"].w.data @ v + model.gate_in["p"].b.data
         h = np.maximum(model.pair_fc1.w.data @ np.concatenate([proj, proj])
                        + model.pair_fc1.b.data, 0.0)
@@ -260,7 +267,7 @@ class TestCe:
             model.gate_out[e].b.data[:] = 50.0
         text = _text(rng)
         clip = _clip(rng)
-        got = md.ce_score(text, clip.streams, model).item()
+        got = md.batch_scores(model, [text], [clip])[0, 0].item()
         want = ref_moee_score(model, text.token_matrix, text.mask, clip.streams)
         assert abs(got - want) < 1e-4
 
@@ -270,7 +277,7 @@ class TestCe:
             model = _ce(rng)
             text = _text(rng)
             clip = _clip(rng)
-            got = md.ce_score(text, clip.streams, model).item()
+            got = md.batch_scores(model, [text], [clip])[0, 0].item()
             want = ref_ce_score(model, text.token_matrix, text.mask, clip.streams)
             assert abs(got - want) < 1e-6
 
@@ -280,7 +287,7 @@ class TestCe:
         target = np.eye(3)[0]
         _rig_unit(model.text_units["p"], target)
         _rig_unit(model.audio_units["p"], target)
-        score = md.ce_score(_text(rng), _clip(rng, ("p",)).streams, model)
+        score = md.batch_scores(model, [_text(rng)], [_clip(rng, ("p",))])[0, 0]
         assert abs(score.item() - 1.0) < 1e-12
 
     @pytest.mark.parametrize("seed", range(3))
@@ -291,7 +298,7 @@ class TestCe:
         clip = _clip(rng)
 
         def build():
-            return md.ce_score(text, clip.streams, model)
+            return md.batch_scores(model, [text], [clip])[0, 0]
 
         check_gradients(build, model.named_parameters())
 
@@ -303,26 +310,25 @@ class TestMmt:
         model = _mmt(rng, layers=2)
         clean = {"p": rng.standard_normal((4, 4)), "q": rng.standard_normal((3, 3))}
         mask_p = np.array([True, True, False, False])
-        base = {e: t.data.copy() for e, t in model.encode_audio(
-            {"p": (clean["p"], mask_p), "q": clean["q"]}).items()}
+        base = model.encode_audio(
+            [{"p": (clean["p"], mask_p), "q": clean["q"]}]).vectors.data.copy()
         dirty = clean["p"].copy()
         dirty[2:] = 1e6
-        redo = model.encode_audio({"p": (dirty, mask_p), "q": clean["q"]})
-        for e in base:
-            np.testing.assert_array_equal(redo[e].data, base[e])
+        redo = model.encode_audio([{"p": (dirty, mask_p), "q": clean["q"]}])
+        np.testing.assert_array_equal(redo.vectors.data, base)
 
     def test_zero_layers_returns_agg_embeddings(self):
         rng = np.random.default_rng(1)
         model = _mmt(rng, layers=0)
-        out = md.mmt_encode({"p": rng.standard_normal((3, 4))}, model)
-        np.testing.assert_array_equal(out["p"].data, model.agg["p"].data)
+        out = model.encode_audio([{"p": rng.standard_normal((3, 4))}])
+        np.testing.assert_array_equal(out.vectors.data[0, 0], model.agg["p"].data)
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
         model = _mmt(rng, layers=2)
         sink: list = []
-        md.mmt_encode({"p": rng.standard_normal((4, 4)),
-                       "q": rng.standard_normal((2, 3))}, model, attn_sink=sink)
+        model.encode_audio([{"p": rng.standard_normal((4, 4)),
+                             "q": rng.standard_normal((2, 3))}], attn_sink=sink)
         assert len(sink) == 2 * model.cfg.heads
         for attn in sink:
             np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
@@ -331,7 +337,8 @@ class TestMmt:
         rng = np.random.default_rng(3)
         for _ in range(20):
             model = _mmt(rng)
-            side = model.encode_text(rng.standard_normal((4, 5)))
+            side = model.encode_text([TextEmbedding(
+                "c", rng.standard_normal((4, 5)), np.ones(4, dtype=bool))])
             w = side.weights.data
             assert (w >= 0).all() and abs(w.sum() - 1.0) < 1e-6
 
@@ -339,11 +346,11 @@ class TestMmt:
         rng = np.random.default_rng(4)
         model = _mmt(rng, experts=("p",), dims={"p": 4})
         streams = {"p": rng.standard_normal((3, 4))}
-        audio_vec = model.encode_audio(streams)["p"].data
+        audio_vec = model.encode_audio([streams]).vectors.data[0, 0]
         _rig_unit(model.text_units["p"], audio_vec)
         text = TextEmbedding("c", rng.standard_normal((2, 5)),
                              np.ones(2, dtype=bool))
-        score = md.mmt_score(text, streams, model)
+        score = md.batch_scores(model, [text], [AudioClip("a0", streams)])[0, 0]
         assert abs(score.item() - 1.0) < 1e-12
 
     def test_compositional_oracle(self):
@@ -354,7 +361,8 @@ class TestMmt:
                                  np.ones(3, dtype=bool))
             streams = {"p": rng.standard_normal((3, 4)),
                        "q": rng.standard_normal((2, 3))}
-            got = md.mmt_score(text, streams, model).item()
+            clip = AudioClip("a0", streams)
+            got = md.batch_scores(model, [text], [clip])[0, 0].item()
             want = ref_mmt_score(model, text.token_matrix, text.mask, streams)
             assert abs(got - want) < 1e-5
 
@@ -362,7 +370,7 @@ class TestMmt:
         rng = np.random.default_rng(6)
         model = _mmt(rng)
         with pytest.raises(ValueError, match="position table"):
-            model.encode_audio({"p": rng.standard_normal((20, 4))})
+            model.encode_audio([{"p": rng.standard_normal((20, 4))}])
 
     @pytest.mark.parametrize("seed", range(2))
     def test_score_gradients(self, seed):
@@ -374,7 +382,7 @@ class TestMmt:
                    "q": rng.standard_normal((2, 3))}
 
         def build():
-            return md.mmt_score(text, streams, model)
+            return md.batch_scores(model, [text], [AudioClip("a0", streams)])[0, 0]
 
         check_gradients(build, model.named_parameters())
 
@@ -396,7 +404,7 @@ class TestSimilarityMatrix:
         rng = np.random.default_rng(1)
         model, texts, clips = self._batch(rng, n_text=1, n_audio=1)
         sim = md.similarity_matrix(model, texts, clips)
-        scalar = md.moee_score(texts[0], clips[0].streams, model).item()
+        scalar = md.batch_scores(model, [texts[0]], [clips[0]])[0, 0].item()
         assert sim.values[0, 0] == scalar
 
     def test_matches_looped_pair_scoring(self):
@@ -405,7 +413,7 @@ class TestSimilarityMatrix:
         sim = md.similarity_matrix(model, texts, clips)
         for i, text in enumerate(texts):
             for j, clip in enumerate(clips):
-                one = md.score_pair(model, text, clip).item()
+                one = md.batch_scores(model, [text], [clip])[0, 0].item()
                 assert abs(sim.values[i, j] - one) < 1e-6
 
     def test_column_shuffle_permutes_columns_exactly(self):
@@ -423,7 +431,7 @@ class TestSimilarityMatrix:
         clips[1] = AudioClip("a1", {"p": clips[1].streams["p"]})
         sim = md.similarity_matrix(model, texts, clips)
         assert np.isfinite(sim.values).all()
-        one = md.score_pair(model, texts[0], clips[1]).item()
+        one = md.batch_scores(model, [texts[0]], [clips[1]])[0, 0].item()
         assert abs(sim.values[0, 1] - one) < 1e-12
 
     def test_empty_batch_rejected(self):
@@ -439,12 +447,6 @@ class TestSimilarityMatrix:
         t = sim.transposed()
         assert t.row_ids == sim.col_ids and t.col_ids == sim.row_ids
         np.testing.assert_array_equal(t.values, sim.values.T)
-
-    def test_wrong_arch_rejected(self):
-        rng = np.random.default_rng(7)
-        model = _moee(rng)
-        with pytest.raises(TypeError, match="ce parameter set"):
-            md.ce_score(_text(rng), _clip(rng).streams, model)
 
 
 # -- randomized batched-vs-reference property --------------------------
