@@ -137,9 +137,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(other, self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -225,19 +222,6 @@ def div(a, b) -> Tensor:
         ga = _unbroadcast(g / b.data, a.shape)
         gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
         return ga, gb
-
-    return _make(data, (a, b), backward)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2:
-        raise ValueError("matmul supports 2-D operands only")
-    data = ad @ bd
-
-    def backward(g):
-        return g @ bd.T, ad.T @ g
 
     return _make(data, (a, b), backward)
 

@@ -33,9 +33,9 @@ class TestPrimitives:
         v = _leaf(rng, 6, 1)
 
         def build():
-            mat = ad.matmul(w, m)          # (4, 3)
-            col = ad.matmul(w, v)          # (4, 1)
-            row = ad.matmul(ad.transpose(v), ad.transpose(w))  # (1, 4)
+            mat = ad.stacked_matmul(w, m)          # (4, 3)
+            col = ad.stacked_matmul(w, v)          # (4, 1)
+            row = ad.stacked_matmul(ad.transpose(v), ad.transpose(w))  # (1, 4)
             return ad.tsum(ad.sigmoid(mat)) + ad.dot(col, ad.transpose(row))
 
         check_gradients(build, {"w": w, "m": m, "v": v})

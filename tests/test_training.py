@@ -1,5 +1,7 @@
 """Loss, optimizers, batch assembly, and the training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,97 @@ class TestOptimizers:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown optimizer"):
             optim.build_optimizer("sgd", {}, lr=0.1)
+
+
+def _gradients(rng, shape, layout, steps):
+    """Gradients as the tape may hand them over: row-major, a transposed
+    view (column-major, like a weight gradient), or missing."""
+    grads = []
+    for t in range(steps):
+        if layout == "none" and t % 3 == 1:
+            grads.append(None)
+        elif layout == "transposed":
+            grads.append(rng.standard_normal(shape[::-1]).transpose())
+        else:
+            grads.append(rng.standard_normal(shape))
+    return grads
+
+
+def _drive_as_given(opt, leaf, grads):
+    for g in grads:
+        leaf.grad = g
+        opt.step()
+
+
+# (shape, gradient layout); the first three span several update chunks
+_CASES = [((2 * optim.CHUNK + 5,), "row"),
+          ((130, 300), "transposed"),
+          ((3, optim.CHUNK // 2), "none"),
+          ((3, 5, 4), "transposed"),
+          ((7,), "row")]
+
+
+class TestInPlaceUpdate:
+    """The chunked in-place updates give exactly the textbook formulas' bits."""
+
+    @pytest.mark.parametrize("shape,layout", _CASES)
+    @pytest.mark.parametrize("wd", [0.0, 0.01])
+    @pytest.mark.parametrize("kind,oracle,steps", [("adam", adam_oracle, 4),
+                                                   ("radam", radam_oracle, 8)])
+    def test_bitwise_equal_to_oracle(self, kind, oracle, steps, wd, shape, layout):
+        # radam's 8 steps cross from the momentum branch to the rectified one
+        rng = np.random.default_rng(len(shape) + steps)
+        x0 = rng.standard_normal(shape)
+        grads = _gradients(rng, shape, layout, steps)
+        kept = [None if g is None else g.copy() for g in grads]
+        leaf = ad.Tensor(x0.copy(), requires_grad=True)
+        _drive_as_given(optim.build_optimizer(kind, {"x": leaf}, lr=0.01,
+                                              weight_decay=wd), leaf, grads)
+        dense = [np.zeros(shape) if g is None else g for g in grads]
+        np.testing.assert_array_equal(leaf.data, oracle(x0, dense, 0.01, wd=wd))
+        for g, copy in zip(grads, kept):
+            np.testing.assert_array_equal(g, copy)  # gradients are only read
+
+    @pytest.mark.parametrize("shape,layout", _CASES[:2])
+    def test_lookahead_two_syncs_bitwise(self, shape, layout):
+        rng = np.random.default_rng(11)
+        x0 = rng.standard_normal(shape)
+        grads = _gradients(rng, shape, layout, 8)
+        leaf = ad.Tensor(x0.copy(), requires_grad=True)
+        _drive_as_given(optim.Lookahead(optim.RAdam({"x": leaf}, lr=0.01,
+                                                    weight_decay=0.01),
+                                        k=4, alpha=0.5), leaf, grads)
+        fast = ad.Tensor(x0.copy(), requires_grad=True)
+        inner = optim.RAdam({"x": fast}, lr=0.01, weight_decay=0.01)
+        slow = x0.copy()
+        for t, g in enumerate(grads, start=1):
+            fast.grad = g
+            inner.step()
+            if t % 4 == 0:
+                slow = slow + 0.5 * (fast.data - slow)
+                fast.data[...] = slow
+        np.testing.assert_array_equal(leaf.data, fast.data)
+
+    @pytest.mark.parametrize("kind", ["adam", "radam", "lookahead_radam"])
+    def test_step_allocates_no_full_size_temporary(self, kind):
+        rng = np.random.default_rng(12)
+        leaf = ad.Tensor(rng.standard_normal((1024, 1024)), requires_grad=True)
+        opt = optim.build_optimizer(kind, {"w": leaf}, lr=0.01,
+                                    weight_decay=0.001, lookahead_k=3)
+        leaf.grad = rng.standard_normal((1024, 1024)).T  # column-major
+        tracemalloc.start()
+        try:
+            for _ in range(6):  # both radam branches and two lookahead syncs
+                opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < leaf.data.nbytes / 8
+
+    def test_rejects_non_contiguous_parameter(self):
+        leaf = ad.Tensor(np.zeros((3, 4)).T, requires_grad=True)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            optim.Adam({"w": leaf}, lr=0.01)
 
 
 class TestBatchAssembly:
