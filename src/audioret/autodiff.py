@@ -249,15 +249,20 @@ def pairwise_inner(a, b) -> Tensor:
 ROW_BLOCK = 32
 
 
-def stacked_matmul(x, w) -> Tensor:
+def stacked_matmul(x, w, offsets=None) -> Tensor:
     """x @ w for every row of x (any leading shape, last axis K) with a
     K x N matrix w.
 
     The forward pass runs the rows through GEMMs of exactly ROW_BLOCK rows
     (zero-padding the last), so a row's result is bitwise the same whatever
     rows share its batch and wherever it sits; a GEMM's own per-row result
-    changes with its row count. Inside `rowwise()` it is one einsum per
-    row instead. The backward pass is one GEMM per operand.
+    changes with its row count. With `offsets`, each row segment
+    offsets[i]:offsets[i + 1] is instead one GEMM over its own rows, so a
+    segment's result is bitwise that of the segment multiplied alone.
+    Inside `rowwise()` it is one einsum per row instead. The backward pass
+    is one GEMM per operand, and w's gradient takes w's memory layout: a
+    transposed view of a row-major weight gets a gradient whose transpose
+    is row-major.
     """
     x, w = as_tensor(x), as_tensor(w)
     if w.ndim != 2 or x.shape[-1] != w.shape[0]:
@@ -268,6 +273,9 @@ def stacked_matmul(x, w) -> Tensor:
     if _ROWWISE:
         for i in range(n):
             np.einsum("k,kn->n", rows[i], w.data, optimize=False, out=out[i])
+    elif offsets is not None:
+        for lo, hi in _segment_bounds(offsets):
+            np.matmul(rows[lo:hi], w.data, out=out[lo:hi])
     else:
         full = n - n % ROW_BLOCK
         for start in range(0, full, ROW_BLOCK):
@@ -282,7 +290,8 @@ def stacked_matmul(x, w) -> Tensor:
     def backward(g):
         g2 = g.reshape(n, w.shape[1])
         gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        return gx, rows.T @ g2
+        gw = rows.T @ g2 if w.data.flags.c_contiguous else (g2.T @ rows).T
+        return gx, gw
 
     return _make(data, (x, w), backward)
 

@@ -119,20 +119,25 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
     return rng.uniform(-bound, bound, size=shape)
 
 
-def affine(x, w: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
-    """x W^T + b for a vector or for every row of a stack of them."""
-    return ad.add(ad.stacked_matmul(x, ad.transpose(w)), b)
+def affine(x, w: ad.Tensor, b: ad.Tensor, offsets=None) -> ad.Tensor:
+    """x W^T + b for a vector or for every row of a stack of them, one
+    GEMM per row segment when `offsets` are given (see stacked_matmul)."""
+    return ad.add(ad.stacked_matmul(x, ad.transpose(w), offsets), b)
 
 
 class Linear:
-    """y = x W^T + b; accepts a vector or a stack of row vectors."""
+    """y = x W^T + b; accepts a vector or a stack of row vectors.
+
+    With `offsets`, each row segment offsets[i]:offsets[i + 1] is one GEMM
+    over its own rows, so its output depends on those rows only. W's
+    gradient comes back row-major, like W."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         self.w = ad.parameter(uniform_init(rng, (out_dim, in_dim), in_dim))
         self.b = ad.parameter(np.zeros(out_dim))
 
-    def __call__(self, x) -> ad.Tensor:
-        return affine(x, self.w, self.b)
+    def __call__(self, x, offsets=None) -> ad.Tensor:
+        return affine(x, self.w, self.b, offsets)
 
     def named_parameters(self) -> dict[str, ad.Tensor]:
         return {"w": self.w, "b": self.b}

@@ -72,13 +72,15 @@ class _Block:
     def __call__(self, x: ad.Tensor, offsets, attn_sink: list | None = None
                  ) -> ad.Tensor:
         """x stacks every item's sequence; attention stays inside each
-        item's rows offsets[i]:offsets[i + 1]."""
+        item's rows offsets[i]:offsets[i + 1], and every dense layer runs
+        one GEMM per item."""
         h = self._layernorm(x, self.ln1_g, self.ln1_b)
-        context = ad.segment_attention(self.wq(h), self.wk(h), self.wv(h),
-                                       offsets, self.heads, attn_sink)
-        x = ad.add(x, self.wo(context))
-        x = ad.add(x, self.ff2(ad.relu(self.ff1(
-            self._layernorm(x, self.ln2_g, self.ln2_b)))))
+        context = ad.segment_attention(
+            self.wq(h, offsets), self.wk(h, offsets), self.wv(h, offsets),
+            offsets, self.heads, attn_sink)
+        x = ad.add(x, self.wo(context, offsets))
+        h = self._layernorm(x, self.ln2_g, self.ln2_b)
+        x = ad.add(x, self.ff2(ad.relu(self.ff1(h, offsets)), offsets))
         return x
 
     def named_parameters(self) -> dict[str, ad.Tensor]:

@@ -13,9 +13,11 @@ slice goes through the whole rule with numpy ufuncs writing into two
 chunk-sized scratch buffers, so no step allocates a full-size temporary
 and a slice's operands stay in cache between ufuncs. Each element gets
 the textbook formula's operations in the textbook order, so the results
-are the same bits as the whole-array expressions. A gradient that is not
-row-major (a weight gradient from a transposed product is column-major)
-is first copied to row-major in square blocks.
+are the same bits as the whole-array expressions. Training hands every
+parameter a row-major gradient (stacked_matmul gives a weight's gradient
+the weight's own layout), so none is copied; a gradient that is not
+row-major, from a caller that builds one, is first copied to row-major
+in square blocks.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ class Adam:
     """Adaptive moments with bias correction; optional L2 term in the grad.
 
     The update runs in place, chunk by chunk, and gives the same bits as
-    the textbook formulas (see the module docstring); a column-major
-    weight gradient is copied to row-major in blocks first."""
+    the textbook formulas (see the module docstring); a gradient that is
+    not row-major is copied to row-major in blocks first."""
 
     def __init__(self, params: dict[str, ad.Tensor], lr: float,
                  betas=(0.9, 0.999), eps: float = 1e-8,

@@ -158,6 +158,16 @@ class TransferReport:
     dropped: list[str]
 
 
+class _Undrawn:
+    """Stands in for a random generator when building a model whose every
+    tensor is about to be overwritten: `uniform` draws nothing and returns
+    unwritten memory."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
+
+
 @dataclass
 class Checkpoint:
     architecture: str
@@ -171,9 +181,12 @@ class Checkpoint:
     transfer: TransferReport | None = None
 
     def rebuild(self) -> object:
-        """Instantiate the architecture and load this checkpoint's weights."""
+        """Instantiate the architecture and load this checkpoint's weights.
+
+        Every tensor is overwritten, so the model is built without drawing
+        any random numbers."""
         model = md.model_from_config(self.architecture, self.model_config,
-                                     np.random.default_rng(0))
+                                     _Undrawn())
         target = model.named_parameters()
         if set(target) != set(self.params):
             raise ValueError("checkpoint parameter names do not match architecture")

@@ -166,6 +166,38 @@ class TestBatchOps:
                 np.testing.assert_array_equal(got, base)
             np.testing.assert_allclose(base, x @ w, rtol=1e-12)
 
+    def test_stacked_matmul_segments_match_alone(self):
+        """With offsets, a segment's rows are bitwise the segment
+        multiplied alone, for a row-major weight and a transposed view."""
+        rng = np.random.default_rng(2)
+        lengths = [1, 2, 3, 33, 70]
+        offsets = np.cumsum([0] + lengths)
+        for k, n in ((300, 512), (512, 2048), (7, 3)):
+            x = rng.standard_normal((offsets[-1], k))
+            row_major = rng.standard_normal((k, n))
+            view = np.ascontiguousarray(rng.standard_normal((n, k))).T
+            for w in (row_major, view):
+                out = ad.stacked_matmul(x, w, offsets).data
+                for lo, hi in zip(offsets[:-1], offsets[1:]):
+                    np.testing.assert_array_equal(out[lo:hi], x[lo:hi] @ w)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stacked_matmul_segments_gradient(self, seed):
+        """Gradients with offsets and a transposed-view weight match finite
+        differences, and the weight's gradient is row-major like it."""
+        rng = np.random.default_rng(seed)
+        x = _leaf(rng, 6, 4)
+        w = _leaf(rng, 5, 4)
+        offsets = [0, 1, 1, 4, 6]  # one empty segment
+
+        def build():
+            out = ad.stacked_matmul(x, ad.transpose(w), offsets)
+            return ad.tsum(ad.sigmoid(out))
+
+        check_gradients(build, {"x": x, "w": w})
+        build().backward()
+        assert w.grad.flags.c_contiguous
+
     @pytest.mark.parametrize("seed", range(3))
     def test_stacked_matmul_rowwise(self, seed):
         rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 """Experiment orchestration: config parsing, content-addressed run
 caching, study tables, text search, and the command-line surface."""
 
+import importlib
 import json
 import shutil
 import warnings
@@ -705,3 +706,50 @@ def test_cli_build_sounddescs_and_stats(tmp_path, capsys, monkeypatch):
     rc = cli_main(["stats", "--dataset", "sounddescs"])
     assert rc == 0
     assert capsys.readouterr().out == stats_out
+
+
+# methods the benchmark's tracer wraps, each defined on its class itself
+BENCHMARK_METHODS = [
+    ("audioret.autodiff", "Tensor", "backward"),
+    ("audioret.models.moee", "MoeeModel", "encode_text"),
+    ("audioret.models.moee", "MoeeModel", "encode_audio"),
+    ("audioret.models.ce", "CeModel", "encode_audio"),
+    ("audioret.models.ce", "CeModel", "collaborative_gate"),
+    ("audioret.models.mmt", "MmtModel", "encode_text"),
+    ("audioret.models.mmt", "MmtModel", "encode_audio"),
+    ("audioret.models.blocks", "NetVlad", "__call__"),
+    ("audioret.models.blocks", "GatedUnit", "__call__"),
+    ("audioret.optim", "Adam", "step"),
+    ("audioret.optim", "RAdam", "step"),
+    ("audioret.optim", "Lookahead", "step"),
+    ("audioret.experts", "FeatureStore", "fetch"),
+    ("audioret.experts", "InMemoryFeatureStore", "fetch"),
+    ("audioret.bench", "Searcher", "__init__"),
+    ("audioret.bench", "Searcher", "search"),
+]
+# module functions the benchmark wraps or calls
+BENCHMARK_FUNCTIONS = [
+    ("audioret.optim", "build_optimizer"),
+    ("audioret.models.similarity", "combine_scores"),
+    ("audioret.training", "train"),
+    ("audioret.training", "ranking_loss"),
+    ("audioret.training", "_validate"),
+    ("audioret.training", "stage_split"),
+    ("audioret.training", "assemble_batches"),
+    ("audioret.evaluation", "compute_metrics"),
+    ("audioret.checkpoint", "save_checkpoint"),
+    ("audioret.checkpoint", "load_checkpoint"),
+    ("audioret.bench", "run_benchmark"),
+    ("audioret.bench", "evaluate_checkpoint"),
+]
+
+
+def test_benchmark_hooks_exist():
+    """The benchmark's tracer wraps these names: a method renamed, or
+    inherited instead of defined on its class, would break its spans."""
+    missing = [f"{cls}.{attr}" for module, cls, attr in BENCHMARK_METHODS
+               if not callable(vars(getattr(importlib.import_module(module), cls))
+                               .get(attr))]
+    missing += [f"{module}.{attr}" for module, attr in BENCHMARK_FUNCTIONS
+                if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []

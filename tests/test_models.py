@@ -539,9 +539,9 @@ def test_only_single_item_batches_run_rowwise(arch, monkeypatch):
     modes = []
     stacked_matmul = ad.stacked_matmul
 
-    def spy(x, w):
+    def spy(x, w, *rest):
         modes.append(ad._ROWWISE)
-        return stacked_matmul(x, w)
+        return stacked_matmul(x, w, *rest)
 
     monkeypatch.setattr(ad, "stacked_matmul", spy)
     sim = md.similarity_matrix(model, texts, clips)
@@ -550,3 +550,24 @@ def test_only_single_item_batches_run_rowwise(arch, monkeypatch):
     one = md.similarity_matrix(model, texts[:1], clips)
     assert any(modes)
     np.testing.assert_allclose(one.values[0], sim.values[0], rtol=0, atol=1e-12)
+
+
+def test_mmt_clip_alone_matches_its_row_among_changing_batchmates():
+    """Each MMT item's dense layers are one GEMM over its own rows, so a
+    clip encoded alone is bitwise its row of any batch, at widths where a
+    batch spans several GEMM blocks."""
+    rng = np.random.default_rng(960)
+    dims = {"p": 24, "q": 40}
+    cfg = md.MmtConfig(("p", "q"), dims, text_dim=6, model_dim=64, layers=2,
+                       heads=4, ff_dim=96, max_frames=40)
+    model = md.MmtModel(cfg, rng)
+    clips = [_random_clip(rng, model, f"a{j}", 40) for j in range(7)]
+    for j, clip in enumerate(clips):
+        alone = model.encode_audio([clip.streams]).vectors.data[0]
+        for trial in range(2):
+            mates = [clips[k].streams for k in rng.permutation(7) if k != j]
+            mates = mates[: 2 + 2 * trial]
+            at = int(rng.integers(len(mates) + 1))
+            batch = mates[:at] + [clip.streams] + mates[at:]
+            got = model.encode_audio(batch).vectors.data[at]
+            np.testing.assert_array_equal(got, alone)

@@ -9,7 +9,9 @@ from audioret import autodiff as ad
 from audioret import models as md
 from audioret import optim
 from audioret import training as tr
+from audioret.checkpoint import load_checkpoint, save_checkpoint
 from audioret.evaluation import MetricsReport
+from audioret.models import blocks, mmt
 from audioret.synthetic import make_synthetic_benchmark
 
 
@@ -286,6 +288,29 @@ class TestInPlaceUpdate:
             optim.Adam({"w": leaf}, lr=0.01)
 
 
+@pytest.mark.parametrize("arch", ["moee", "ce", "mmt"])
+def test_optimizer_sees_row_major_gradients(arch, monkeypatch):
+    """After a training step every parameter gradient reaches the optimizer
+    C-contiguous, so no step copies one to row-major."""
+    bench = make_synthetic_benchmark(np.random.default_rng(0), n_pairs=8)
+    seen = {}
+    flat_grad = optim.Adam._flat_grad
+
+    def spy(self, p):
+        seen[id(p)] = p.grad is not None and p.grad.flags.c_contiguous
+        return flat_grad(self, p)
+
+    monkeypatch.setattr(optim.Adam, "_flat_grad", spy)
+    model = tiny_model(arch, bench)
+    tr.train(model, bench.corpus, bench.store, bench.text_source,
+             _train_cfg(architecture=arch, epochs=None, steps=1,
+                        optimizer="lookahead_radam"),
+             tr.LossConfig(batch_size=4))
+    params = model.named_parameters()
+    assert len(seen) == len(params)
+    assert [n for n, p in params.items() if not seen[id(p)]] == []
+
+
 class TestBatchAssembly:
     def _pairs(self, n_audio, caps_per):
         return [(f"c{i}-{j}", f"a{i}") for i in range(n_audio)
@@ -500,6 +525,34 @@ class TestCheckpointRebuild:
         ckpt.params["weight_head.w"] = np.zeros((1, 1))
         with pytest.raises(ValueError, match="wrong shape"):
             ckpt.rebuild()
+
+    @pytest.mark.parametrize("arch", ["moee", "ce", "mmt"])
+    def test_rebuild_draws_nothing(self, arch, tmp_path, monkeypatch):
+        """Rebuilding a saved checkpoint draws no random numbers, and every
+        tensor is bitwise the archive's array as float64."""
+        bench = make_synthetic_benchmark(np.random.default_rng(0), n_pairs=4)
+        ckpt = tr.train(tiny_model(arch, bench), bench.corpus, bench.store,
+                        bench.text_source, _train_cfg(architecture=arch, epochs=0),
+                        tr.LossConfig(batch_size=2))
+        back = load_checkpoint(save_checkpoint(ckpt, tmp_path / "m.ckpt"))
+        draws = []
+        uniform_init = blocks.uniform_init
+
+        def spy(rng, shape, fan_in):
+            if isinstance(rng, np.random.Generator):
+                draws.append(shape)
+            return uniform_init(rng, shape, fan_in)
+
+        monkeypatch.setattr(blocks, "uniform_init", spy)
+        monkeypatch.setattr(mmt, "uniform_init", spy)
+        clone = back.rebuild()
+        assert draws == []
+        params = clone.named_parameters()
+        assert set(params) == set(back.params)
+        for name, arr in back.params.items():
+            assert params[name].data.dtype == np.float64
+            np.testing.assert_array_equal(params[name].data,
+                                          arr.astype(np.float64))
 
 
 class TestFinetune:
