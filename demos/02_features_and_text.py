@@ -1,12 +1,12 @@
 """
-Precomputed features: stores, word tables, and batch staging
-============================================================
+Precomputed features: stores, word tables, and clip staging
+===========================================================
 
 Models never see raw audio or raw text. Audio arrives as precomputed
 expert features — one matrix of frame vectors per (clip, expert) — and
 captions arrive as word-embedding matrices looked up from a table. This
 demo writes features in the on-disk matrix format, reads them through a
-feature store, and stages a capped, padded batch the way training would.
+feature store, and stages a capped clip the way training would.
 """
 
 import tempfile
@@ -17,7 +17,7 @@ import numpy as np
 from audioret.corpus import CaptionRecord
 from audioret.experts import (DEFAULT_REGISTRY, FeatureStoreBuilder,
                               InMemoryFeatureStore, WordTable,
-                              WordTableTextSource, cap_and_pad, gather_clip,
+                              WordTableTextSource, gather_clip,
                               open_feature_store, read_matrix, write_matrix)
 
 work = Path(tempfile.mkdtemp(prefix="features-demo-"))
@@ -65,18 +65,9 @@ print(f"\ncaption -> token matrix {emb.token_matrix.shape}, "
       f"mask {emb.mask.astype(int)}")
 
 # gather_clip assembles every expert stream of one sample, applying
-# per-expert frame caps
+# per-expert frame caps; the models take these variable-length streams
+# as they are, with no padding
 clip = gather_clip(store, "clip0", ("VGGish", "VGGSound"),
                    frame_caps={"VGGish": 6, "VGGSound": 20})
 for expert, stream in clip.streams.items():
     print(f"capped stream {expert}: {stream.shape}")
-
-# cap_and_pad aligns variable-length streams into one B x T x D tensor
-# with a validity mask and the true lengths: the 9-frame clip is capped
-# to 6 head frames while the 3-frame clip is zero-padded up to 6
-store.add("VGGish", "clip1", rng.standard_normal((3, 128)))
-batch = cap_and_pad([store.fetch("clip0", "VGGish"),
-                     store.fetch("clip1", "VGGish")], max_len=6)
-print(f"\npadded batch tensor {batch.tensor.shape}, "
-      f"true lengths = {batch.lengths.tolist()}, "
-      f"mask true count = {int(batch.mask.sum())}")

@@ -12,21 +12,27 @@ checked by eye.
 import numpy as np
 
 from audioret.corpus import CaptionRecord, Corpus, SampleRecord
-from audioret.evaluation import (MetricsReport, ResultRow, aggregate_seeds,
-                                 bucket_metrics, compute_metrics,
-                                 rank_of_target, render_table,
+from audioret.evaluation import (GroundTruth, MetricsReport, ResultRow,
+                                 aggregate_seeds, bucket_metrics,
+                                 compute_metrics, render_table,
                                  t2a_ground_truth)
 from audioret.models import SimilarityMatrix
 
+
+def rank_of(scores, pool, relevant):
+    """One query's rank, read as the median rank of a one-query report."""
+    sim = SimilarityMatrix(np.array([scores]), ["q"], pool)
+    gt = GroundTruth("t2a", {"q": frozenset(relevant)})
+    return int(compute_metrics(sim, gt).medr)
+
+
 # ties break deterministically: score descending, then item id ascending.
 # "a" and "b" tie at 0.9, so "a" takes rank 1 and "b" lands at rank 2
-rank = rank_of_target(np.array([0.9, 0.9, 0.1]), ["b", "a", "c"],
-                      relevant={"b"})
+rank = rank_of([0.9, 0.9, 0.1], ["b", "a", "c"], relevant={"b"})
 print(f"rank of tied item 'b': {rank}")
 
 # with several relevant items, the best-ranked one counts
-rank = rank_of_target(np.array([0.3, 0.8, 0.5]), ["x", "y", "z"],
-                      relevant={"x", "z"})
+rank = rank_of([0.3, 0.8, 0.5], ["x", "y", "z"], relevant={"x", "z"})
 print(f"best rank over relevant {{x, z}}: {rank}")
 
 # a corpus ties captions to clips; metrics come from a similarity matrix

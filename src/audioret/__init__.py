@@ -2,7 +2,7 @@
 
 Submodules:
   corpus      sample/caption records, split assignment, dataset statistics
-  experts     precomputed feature streams, word tables, batching helpers
+  experts     precomputed feature streams, word tables, text sources
   autodiff    the small reverse-mode tape every model runs on
   models      MoEE / CE / MMT scoring architectures and similarity matrices
   training    ranking loss, optimizers, the training loop, checkpoints
@@ -15,7 +15,7 @@ from . import (autodiff, bench, checkpoint, corpus, evaluation, experts,
                models, synthetic, training)
 from .bench import (ExperimentConfig, Searcher, experiment_from_file,
                     run_ablation, run_benchmark, run_scale_study,
-                    run_transfer, search)
+                    run_transfer)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import (Corpus, SplitSpec, assign_splits,
                      build_sounddescs_manifest, corpus_stats, load_benchmark,

@@ -534,15 +534,6 @@ def exp(a) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-
-    def backward(g):
-        return (g / a.data,)
-
-    return _make(np.log(a.data), (a,), backward)
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     out = np.sqrt(a.data)
@@ -568,18 +559,10 @@ def clip_min(a, floor: float) -> Tensor:
     return _make(np.maximum(a.data, floor), (a,), backward)
 
 
-def softmax(a, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax along `axis`; positions where `mask` is False get weight 0.
-
-    Every row must keep at least one unmasked position.
-    """
+def softmax(a, axis: int = -1) -> Tensor:
+    """Softmax along `axis`."""
     a = as_tensor(a)
     x = a.data
-    if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        if not mask.any(axis=axis).all():
-            raise ValueError("softmax: a row has no unmasked positions")
-        x = np.where(mask, x, -np.inf)
     shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)

@@ -15,7 +15,7 @@ import hashlib
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -401,9 +401,7 @@ def run_ablation(cfg: ExperimentConfig, subsets: list[tuple[str, ...]],
     bundle = data or load_data(cfg)
     rows = []
     for subset in subsets:
-        sub_cfg = ExperimentConfig(cfg.dataset, cfg.architecture, tuple(subset),
-                                   cfg.seeds, dict(cfg.train), dict(cfg.loss),
-                                   dict(cfg.model), cfg.out_dir)
+        sub_cfg = replace(cfg, experts=tuple(subset))
         run_dir = RunDir(sub_cfg)
         artifacts = [run_single(sub_cfg, bundle, seed, run_dir)
                      for seed in sub_cfg.seeds]
@@ -423,9 +421,7 @@ def run_transfer(cfg: ExperimentConfig, source_dataset: str,
     if source_dataset == cfg.dataset:
         warnings.warn("transfer source equals target; this is just longer "
                       "training on the same data")
-    source_cfg = ExperimentConfig(source_dataset, cfg.architecture, cfg.experts,
-                                  cfg.seeds, dict(cfg.train), dict(cfg.loss),
-                                  dict(cfg.model), cfg.out_dir)
+    source_cfg = replace(cfg, dataset=source_dataset)
     source_bundle = source_data or load_data(source_cfg)
 
     scratch_dir = RunDir(cfg)
@@ -537,9 +533,3 @@ class Searcher:
         ids = np.asarray(self.pool_ids)
         order = np.lexsort((ids, -values))[:min(top_k, len(ids))]
         return [(str(ids[i]), float(values[i])) for i in order]
-
-
-def search(ckpt: Checkpoint, corpus: Corpus, store, text_source, query: str,
-           top_k: int = 10, split: str = "test") -> list[tuple[str, float]]:
-    """One-shot search; hold a Searcher to amortize the pool encoding."""
-    return Searcher(ckpt, corpus, store, text_source, split).search(query, top_k)

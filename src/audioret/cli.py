@@ -8,6 +8,7 @@ import os
 import sys
 
 from . import bench
+from . import models as md
 from .bench import (DATA_ENV, FEATURES_ENV, ExperimentConfig,
                     experiment_from_file, experiment_from_sections)
 from .checkpoint import load_checkpoint
@@ -31,7 +32,7 @@ def _experiment(args) -> ExperimentConfig:
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat section.key=value config file")
     parser.add_argument("--dataset", help="dataset name")
-    parser.add_argument("--arch", choices=("moee", "ce", "mmt"))
+    parser.add_argument("--arch", choices=tuple(md.ARCHITECTURES))
     parser.add_argument("--experts", help="comma-separated expert names")
     parser.add_argument("--seeds", help="comma-separated integer seeds")
     parser.add_argument("--out", help="artifact output directory")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -87,9 +87,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-    def by_id(self) -> dict[str, SampleRecord]:
-        return {s.sample_id: s for s in self.samples}
 
     def split_ids(self, split: str) -> list[str]:
         return sorted(s.sample_id for s in self.samples if s.split == split)
@@ -290,8 +287,6 @@ class StatsReport:
     mean_words: float
     max_words: int
     category_counts: dict[str, int]
-    duration_hist: tuple[np.ndarray, np.ndarray] = field(repr=False)  # (edges, counts)
-    word_hist: np.ndarray = field(repr=False)  # counts indexed by word count
 
     def to_text(self) -> str:
         lines = [
@@ -314,22 +309,8 @@ class StatsReport:
             lines.append(f"category.{tag}\t{count}")
         return "\n".join(lines) + "\n"
 
-    def duration_hist_csv(self) -> str:
-        edges, counts = self.duration_hist
-        lines = ["bin_start_s,bin_end_s,count"]
-        for i, count in enumerate(counts):
-            lines.append(f"{edges[i]:.6g},{edges[i + 1]:.6g},{int(count)}")
-        return "\n".join(lines) + "\n"
 
-    def word_hist_csv(self) -> str:
-        lines = ["words,count"]
-        for words, count in enumerate(self.word_hist):
-            if count:
-                lines.append(f"{words},{int(count)}")
-        return "\n".join(lines) + "\n"
-
-
-def corpus_stats(corpus: Corpus, duration_bins: int = 20) -> StatsReport:
+def corpus_stats(corpus: Corpus) -> StatsReport:
     """Counts, duration/word-length summaries, and category frequencies.
 
     Word counts use plain whitespace tokenization (punctuation attached).
@@ -342,9 +323,6 @@ def corpus_stats(corpus: Corpus, duration_bins: int = 20) -> StatsReport:
                            dtype=np.intp)
     categories = Counter(tag for s in corpus.samples for tag in s.categories)
     split_counts = Counter(s.split for s in corpus.samples)
-    counts, edges = np.histogram(durations, bins=duration_bins)
-    word_hist = (np.bincount(word_counts) if word_counts.size
-                 else np.zeros(1, dtype=np.intp))
     return StatsReport(
         name=corpus.name,
         sample_count=len(corpus.samples),
@@ -356,6 +334,4 @@ def corpus_stats(corpus: Corpus, duration_bins: int = 20) -> StatsReport:
         mean_words=float(word_counts.mean()) if word_counts.size else 0.0,
         max_words=int(word_counts.max()) if word_counts.size else 0,
         category_counts=dict(categories),
-        duration_hist=(edges, counts),
-        word_hist=word_hist,
     )

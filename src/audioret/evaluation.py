@@ -96,25 +96,6 @@ def _best_ranks(values: np.ndarray, id_order: np.ndarray, queries: np.ndarray,
     return ranks
 
 
-def rank_of_target(scores: np.ndarray, pool_ids, relevant) -> int:
-    """1-based best rank of any relevant item under the shared tie-break."""
-    scores = np.asarray(scores, dtype=np.float64)
-    ids = list(pool_ids)
-    if scores.ndim != 1 or scores.shape[0] != len(ids):
-        raise ValueError("scores and pool ids disagree in length")
-    if scores.shape[0] == 0:
-        raise ValueError("empty candidate pool")
-    relevant = set(relevant)
-    if not relevant:
-        raise ValueError("empty relevant set")
-    missing = relevant - set(ids)
-    if missing:
-        raise ValueError(f"relevant item not in pool: {sorted(missing)[0]!r}")
-    items = np.array([j for j, item in enumerate(ids) if item in relevant])
-    return int(_best_ranks(scores[None, :], _id_order(ids),
-                           np.zeros(items.size, dtype=np.intp), items, 1)[0])
-
-
 # ---------------------------------------------------------------------------
 # metric reports
 

@@ -1,4 +1,4 @@
-"""Precomputed feature streams, caption token embeddings, and batching.
+"""Precomputed feature streams, caption token embeddings, and text sources.
 
 Feature store layout on disk::
 
@@ -60,11 +60,6 @@ class ExpertRegistry:
             raise KeyError(f"unregistered expert: {name}")
         return self._entries[name].kind
 
-    def with_experts(self, extra: dict[str, ExpertInfo]) -> "ExpertRegistry":
-        merged = dict(self._entries)
-        merged.update(extra)
-        return ExpertRegistry(merged)
-
 
 DEFAULT_REGISTRY = ExpertRegistry({
     "VGGish": ExpertInfo(128, "audio"),
@@ -111,15 +106,6 @@ class TextEmbedding:
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.token_matrix.shape[0] != self.mask.shape[0]:
             raise ValueError("token matrix and mask lengths differ")
-
-
-@dataclass
-class PaddedBatch:
-    """Fixed-length batch: tensor B x T x D, mask B x T, true lengths."""
-
-    tensor: np.ndarray
-    mask: np.ndarray
-    lengths: np.ndarray
 
 
 @dataclass
@@ -243,11 +229,6 @@ def open_feature_store(root: Path | str,
     return FeatureStore(root, dims, counts, meta)
 
 
-def fetch_features(store, sample_id: str, expert: str) -> FeatureStream:
-    """Fetch one (sample, expert) stream from an open store handle."""
-    return store.fetch(sample_id, expert)
-
-
 class FeatureStoreBuilder:
     """Writes a feature store directory, then its index."""
 
@@ -369,44 +350,6 @@ def embed_tokens(text: str, table: WordTable,
                              np.zeros(1, dtype=bool))
     matrix = table.vectors[np.asarray(hits, dtype=np.intp)].copy()
     return TextEmbedding(caption_id, matrix, np.ones(len(hits), dtype=bool))
-
-
-# -- batching ----------------------------------------------------------
-
-
-def cap_and_pad(streams: list, max_len: int) -> PaddedBatch:
-    """Truncate each sequence to max_len head steps and zero-pad to align.
-
-    Accepts FeatureStream or TextEmbedding items (not mixed dims).
-    """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    if not streams:
-        raise ValueError("empty batch")
-    rows_list = []
-    for item in streams:
-        if isinstance(item, TextEmbedding):
-            rows = item.token_matrix[item.mask]
-            if rows.shape[0] == 0:  # all-OOV fallback caption
-                rows = np.zeros((0, item.token_matrix.shape[1]))
-        else:
-            rows = item.matrix
-        rows_list.append(np.asarray(rows, dtype=np.float64)[:max_len])
-    dims = {r.shape[1] for r in rows_list}
-    if len(dims) != 1:
-        raise ValueError(f"inconsistent feature dims in batch: {sorted(dims)}")
-    dim = dims.pop()
-    batch = len(rows_list)
-    width = max(max((r.shape[0] for r in rows_list), default=0), 1)
-    tensor = np.zeros((batch, width, dim))
-    mask = np.zeros((batch, width), dtype=bool)
-    lengths = np.zeros(batch, dtype=np.intp)
-    for b, rows in enumerate(rows_list):
-        t = rows.shape[0]
-        tensor[b, :t] = rows
-        mask[b, :t] = True
-        lengths[b] = t
-    return PaddedBatch(tensor, mask, lengths)
 
 
 class WordTableTextSource:

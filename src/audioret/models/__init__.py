@@ -12,35 +12,28 @@ from .moee import MoeeConfig, MoeeModel
 from .similarity import (AudioClip, SimilarityMatrix, batch_scores,
                          combine_scores, encode_clips, similarity_matrix)
 
-ARCHITECTURES = ("moee", "ce", "mmt")
+# architecture name -> (config class, model class); every config's first
+# three fields are experts, expert_dims and the text input width
+ARCHITECTURES = {"moee": (MoeeConfig, MoeeModel), "ce": (CeConfig, CeModel),
+                 "mmt": (MmtConfig, MmtModel)}
 
 
 def build_model(arch: str, experts: tuple[str, ...], expert_dims: dict[str, int],
                 text_dim: int, rng: np.random.Generator,
                 overrides: dict | None = None):
     """Construct a model of the named architecture with config overrides."""
-    overrides = dict(overrides or {})
-    if arch == "moee":
-        cfg = MoeeConfig(experts, expert_dims, word_dim=text_dim, **overrides)
-        return MoeeModel(cfg, rng)
-    if arch == "ce":
-        cfg = CeConfig(experts, expert_dims, word_dim=text_dim, **overrides)
-        return CeModel(cfg, rng)
-    if arch == "mmt":
-        cfg = MmtConfig(experts, expert_dims, text_dim=text_dim, **overrides)
-        return MmtModel(cfg, rng)
-    raise ValueError(f"unknown architecture {arch!r} (known: {ARCHITECTURES})")
+    if arch not in ARCHITECTURES:
+        raise ValueError(f"unknown architecture {arch!r} "
+                         f"(known: {', '.join(ARCHITECTURES)})")
+    config_class, model = ARCHITECTURES[arch]
+    return model(config_class(experts, expert_dims, text_dim, **(overrides or {})),
+                 rng)
 
 
 def model_from_config(arch: str, config: dict, rng: np.random.Generator):
     """Rebuild a model from a stored config_dict()."""
-    config = dict(config)
-    experts = tuple(config.pop("experts"))
-    dims = {e: int(d) for e, d in config.pop("expert_dims").items()}
-    text_dim = config.pop("word_dim", None)
-    if text_dim is None:
-        text_dim = config.pop("text_dim")
-    return build_model(arch, experts, dims, int(text_dim), rng, config)
+    config_class, model = ARCHITECTURES[arch]
+    return model(config_class(**config), rng)
 
 
 __all__ = [

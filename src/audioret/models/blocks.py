@@ -6,7 +6,8 @@ batch, and expose their trainable leaves through named_parameters().
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,11 @@ class AudioBatch:
     vectors: ad.Tensor
     present: np.ndarray
 
+    @cached_property
+    def unit(self) -> ad.Tensor:
+        """The expert vectors at unit length, computed once per batch."""
+        return ad.row_normalize(self.vectors)
+
 
 def text_batch(units: dict, head, experts: tuple[str, ...], pooled) -> TextBatch:
     """Per-expert gated units and the softmax mixture head over B pooled
@@ -56,6 +62,14 @@ def check_experts(experts: tuple[str, ...], expert_dims: dict[str, int]) -> None
     missing = [e for e in experts if e not in expert_dims]
     if missing:
         raise ValueError(f"no dimension recorded for experts: {missing}")
+
+
+def config_dict(cfg) -> dict:
+    """A model config as a checkpoint stores it: its fields in order, the
+    experts as a list and dims for the configured experts only."""
+    return asdict(cfg) | {"experts": list(cfg.experts),
+                          "expert_dims": {e: int(cfg.expert_dims[e])
+                                          for e in cfg.experts}}
 
 
 def stream_rows(value) -> np.ndarray:

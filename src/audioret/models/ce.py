@@ -88,8 +88,3 @@ class CeModel(MoeeModel):
         params.update(collect("pair_fc1", self.pair_fc1))
         params.update(collect("pair_fc2", self.pair_fc2))
         return params
-
-    def config_dict(self) -> dict:
-        out = super().config_dict()
-        out["gate_width"] = self.cfg.gate_width
-        return out

@@ -22,7 +22,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..experts import TextEmbedding
 from .blocks import (AudioBatch, GatedUnit, Linear, check_experts, collect,
-                     gather_streams, text_batch, uniform_init)
+                     config_dict, gather_streams, text_batch, uniform_init)
 
 LN_EPS = 1e-5
 
@@ -191,13 +191,4 @@ class MmtModel:
         return params
 
     def config_dict(self) -> dict:
-        return {
-            "experts": list(self.cfg.experts),
-            "expert_dims": {e: int(self.cfg.expert_dims[e]) for e in self.cfg.experts},
-            "text_dim": self.cfg.text_dim,
-            "model_dim": self.cfg.model_dim,
-            "layers": self.cfg.layers,
-            "heads": self.cfg.heads,
-            "ff_dim": self.cfg.ff_dim,
-            "max_frames": self.cfg.max_frames,
-        }
+        return config_dict(self.cfg)

@@ -16,7 +16,8 @@ import numpy as np
 from .. import autodiff as ad
 from ..experts import TextEmbedding
 from .blocks import (AudioBatch, GatedUnit, Linear, NetVlad, check_experts,
-                     collect, expert_tensor, gather_streams, text_batch)
+                     collect, config_dict, expert_tensor, gather_streams,
+                     text_batch)
 
 
 @dataclass
@@ -90,13 +91,4 @@ class MoeeModel:
         return params
 
     def config_dict(self) -> dict:
-        return {
-            "experts": list(self.cfg.experts),
-            "expert_dims": {e: int(self.cfg.expert_dims[e]) for e in self.cfg.experts},
-            "word_dim": self.cfg.word_dim,
-            "text_clusters": self.cfg.text_clusters,
-            "text_ghost": self.cfg.text_ghost,
-            "audio_clusters": self.cfg.audio_clusters,
-            "audio_ghost": self.cfg.audio_ghost,
-            "joint_dim": self.cfg.joint_dim,
-        }
+        return config_dict(self.cfg)

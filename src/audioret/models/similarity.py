@@ -45,7 +45,7 @@ class SimilarityMatrix:
 def combine_scores(text: TextBatch, audio: AudioBatch) -> ad.Tensor:
     """Bt x Ba tensor of pairwise scores from two encoded batches."""
     cosines = ad.pairwise_inner(ad.row_normalize(text.vectors),
-                                ad.row_normalize(audio.vectors))  # Bt x Ba x E
+                                audio.unit)  # Bt x Ba x E
     rows, experts = text.weights.shape
     mass = ad.mul(ad.reshape(text.weights, (rows, 1, experts)),
                   audio.present[None].astype(np.float64))

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import audioret.autodiff as ad
 import audioret.bench as bn
 import audioret.training as tr
 from audioret.checkpoint import save_checkpoint
@@ -435,6 +436,27 @@ def test_ablation_rows_reuse_benchmark_artifacts(rig, bundle):
     assert (study_dir / "table.txt").exists()
 
 
+def test_study_configs_keep_every_field(rig, bundle, monkeypatch):
+    """An ablation's subset configs and a transfer's source config differ
+    from the study's config in the one field they vary, extras included."""
+    cfg = replace(rig[0], extras={"note": {"tag": "x"}})
+    artifact = bn.RunDir(rig[0]).load_seed(0)
+    seen = []
+    monkeypatch.setattr(bn, "run_single",
+                        lambda c, *a, **kw: seen.append(c) or artifact)
+    bn.run_ablation(cfg, [("ea",)], data=bundle)
+    assert seen == [replace(cfg, experts=("ea",))] * len(cfg.seeds)
+
+    def load_data(c):
+        seen.append(c)
+        raise LookupError("stop before training")
+
+    monkeypatch.setattr(bn, "load_data", load_data)
+    with pytest.raises(LookupError, match="stop before training"):
+        bn.run_transfer(cfg, "clotho", data=bundle)
+    assert seen[-1] == replace(cfg, dataset="clotho")
+
+
 def test_ablation_requires_subsets(rig, bundle):
     cfg, _ = rig
     with pytest.raises(ValueError, match="no expert subsets"):
@@ -585,12 +607,21 @@ def test_search_scores_match_similarity_matrix(frozen_ckpt, bundle):
         assert by_id[sid] == sim.values[0, j]
 
 
-def test_one_shot_search_matches_session(frozen_ckpt, bundle):
-    session = bn.Searcher(frozen_ckpt, bundle.corpus, bundle.store,
-                          bundle.text_source).search("w010 w011", top_k=4)
-    one_shot = bn.search(frozen_ckpt, bundle.corpus, bundle.store,
-                         bundle.text_source, "w010 w011", top_k=4)
-    assert one_shot == session
+def test_search_normalizes_the_pool_once(frozen_ckpt, bundle, monkeypatch):
+    """The encoded pool is brought to unit length once, not per query."""
+    searcher = bn.Searcher(frozen_ckpt, bundle.corpus, bundle.store,
+                           bundle.text_source)
+    pool_calls = []
+    normalize = ad.row_normalize
+
+    def spy(a, *args, **kwargs):
+        pool_calls.append(a is searcher.pool.vectors)
+        return normalize(a, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "row_normalize", spy)
+    for query in ("w001", "w005 w009", "w010 w011"):
+        searcher.search(query, top_k=3)
+    assert sum(pool_calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -742,14 +773,33 @@ BENCHMARK_FUNCTIONS = [
     ("audioret.bench", "run_benchmark"),
     ("audioret.bench", "evaluate_checkpoint"),
 ]
+# names the benchmark calls or reads without wrapping them
+BENCHMARK_USES = [
+    ("audioret.models", "build_model"),
+    ("audioret.models.ce", "CeModel.config_dict"),
+    ("audioret.bench", "ResultTable.cell_mean"),
+    ("audioret.bench", "combine_scores"),
+    ("audioret.bench", "ARCH_DEFAULTS"),
+    ("audioret.training", "default_caps"),
+    ("audioret.experts", "FeatureStoreBuilder"),
+    ("audioret.experts", "InMemoryFeatureStore"),
+]
 
 
 def test_benchmark_hooks_exist():
     """The benchmark's tracer wraps these names: a method renamed, or
-    inherited instead of defined on its class, would break its spans."""
+    inherited instead of defined on its class, would break its spans. The
+    names it only calls or reads must exist too, or a run fails."""
     missing = [f"{cls}.{attr}" for module, cls, attr in BENCHMARK_METHODS
                if not callable(vars(getattr(importlib.import_module(module), cls))
                                .get(attr))]
     missing += [f"{module}.{attr}" for module, attr in BENCHMARK_FUNCTIONS
                 if not callable(getattr(importlib.import_module(module), attr, None))]
+    for module, path in BENCHMARK_USES:
+        target = importlib.import_module(module)
+        for attr in path.split("."):
+            target = getattr(target, attr, None)
+        if target is None:
+            missing.append(f"{module}.{path}")
     assert missing == []
+    assert set(bn.ARCH_DEFAULTS) == {"moee", "ce", "mmt"}

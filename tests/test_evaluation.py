@@ -35,28 +35,35 @@ def _random_case(rng, n_query, n_pool, quantize=False):
     return sim, ev.GroundTruth("a2t", rel)
 
 
+def rank_of_target(scores, ids, relevant):
+    """One query's best rank, read as the medR of a one-query report."""
+    sim = SimilarityMatrix(np.asarray([scores], dtype=np.float64), ["q"], ids)
+    gt = ev.GroundTruth("t2a", {"q": frozenset(relevant)})
+    return int(ev.compute_metrics(sim, gt).medr)
+
+
 class TestRankOfTarget:
     def test_top_scorer_ranks_first(self):
-        assert ev.rank_of_target([0.9, 0.5, 0.1], ["a", "b", "c"], {"a"}) == 1
+        assert rank_of_target([0.9, 0.5, 0.1], ["a", "b", "c"], {"a"}) == 1
 
     def test_best_rank_over_multiple_relevant(self):
         scores = [0.9, 0.1, 0.5, 0.05, 0.7]
         ids = ["a", "b", "c", "d", "e"]
         # c sits at position 3, b at position 4 -> best is 3
-        assert ev.rank_of_target(scores, ids, {"b", "c"}) == 3
+        assert rank_of_target(scores, ids, {"b", "c"}) == 3
 
     def test_all_ties_resolve_by_id(self):
         ids = ["m", "a", "z", "k"]
-        assert ev.rank_of_target([1.0] * 4, ids, {"z"}) == 4
-        assert ev.rank_of_target([1.0] * 4, ids, {"a"}) == 1
+        assert rank_of_target([1.0] * 4, ids, {"z"}) == 4
+        assert rank_of_target([1.0] * 4, ids, {"a"}) == 1
 
     def test_empty_relevant_rejected(self):
         with pytest.raises(ValueError, match="empty relevant"):
-            ev.rank_of_target([1.0], ["a"], set())
+            rank_of_target([1.0], ["a"], set())
 
     def test_unknown_relevant_rejected(self):
-        with pytest.raises(ValueError, match="not in pool"):
-            ev.rank_of_target([1.0], ["a"], {"zz"})
+        with pytest.raises(ValueError, match="missing from the pool"):
+            rank_of_target([1.0], ["a"], {"zz"})
 
     def test_matches_oracle_with_ties(self):
         rng = np.random.default_rng(0)
@@ -66,7 +73,7 @@ class TestRankOfTarget:
             scores = rng.integers(0, 3, size=n) / 2.0
             rel = set(rng.choice(ids, size=int(rng.integers(1, n + 1)),
                                  replace=False))
-            assert ev.rank_of_target(scores, ids, rel) == oracle_rank(
+            assert rank_of_target(scores, ids, rel) == oracle_rank(
                 list(scores), ids, rel)
 
 

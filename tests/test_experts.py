@@ -1,4 +1,4 @@
-"""Feature store, word-table, and batching behavior."""
+"""Feature store, word-table, and text-source behavior."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from audioret import experts as ex
 
 @pytest.fixture
 def registry():
-    return ex.DEFAULT_REGISTRY.with_experts({
+    return ex.ExpertRegistry({
         "synthA": ex.ExpertInfo(12, "audio"),
         "synthB": ex.ExpertInfo(8, "audio"),
     })
@@ -53,7 +53,7 @@ class TestFeatureStore:
         m = rng.standard_normal((9, 12)).astype(np.float32)
         root = _write_store(tmp_path, registry, [("synthA", "s1", m)])
         store = ex.open_feature_store(root, registry)
-        stream = ex.fetch_features(store, "s1", "synthA")
+        stream = store.fetch("s1", "synthA")
         np.testing.assert_array_equal(stream.matrix.astype(np.float32), m)
         assert stream.sample_id == "s1" and stream.expert == "synthA"
 
@@ -137,58 +137,6 @@ class TestWordTable:
         assert back.dim == table.dim
         np.testing.assert_array_equal(back.vectors, table.vectors)
         assert back.index == table.index
-
-
-class TestCapAndPad:
-    def test_truncation_keeps_head(self):
-        rng = np.random.default_rng(5)
-        long = ex.FeatureStream("a", "synthA", rng.standard_normal((600, 4)))
-        batch = ex.cap_and_pad([long], max_len=400)
-        assert batch.tensor.shape == (1, 400, 4)
-        np.testing.assert_array_equal(batch.tensor[0], long.matrix[:400])
-        assert batch.lengths[0] == 400
-
-    def test_padding_masks_and_zeros(self):
-        short = ex.FeatureStream("b", "synthA", np.ones((3, 4)))
-        batch = ex.cap_and_pad([short], max_len=10)
-        # width stretches only to the longest kept sequence
-        assert batch.tensor.shape == (1, 3, 4)
-        assert batch.mask.all()
-        two = ex.cap_and_pad([short, ex.FeatureStream("c", "synthA", np.ones((7, 4)))],
-                             max_len=10)
-        assert two.tensor.shape == (2, 7, 4)
-        np.testing.assert_array_equal(two.mask[0], [True] * 3 + [False] * 4)
-        assert (two.tensor[0, 3:] == 0).all()
-        assert list(two.lengths) == [3, 7]
-
-    def test_mixed_dims_rejected(self):
-        a = ex.FeatureStream("a", "x", np.zeros((2, 4)))
-        b = ex.FeatureStream("b", "y", np.zeros((2, 5)))
-        with pytest.raises(ValueError, match="inconsistent feature dims"):
-            ex.cap_and_pad([a, b], max_len=8)
-
-    def test_mask_zero_coupling_random(self):
-        """Padded positions are always zero wherever the mask is false."""
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            streams = [ex.FeatureStream(f"s{i}", "e",
-                                        rng.standard_normal((int(rng.integers(1, 12)), 3)))
-                       for i in range(4)]
-            cap = int(rng.integers(1, 15))
-            batch = ex.cap_and_pad(streams, cap)
-            assert (batch.tensor[~batch.mask] == 0).all()
-            for b, stream in enumerate(streams):
-                keep = min(stream.matrix.shape[0], cap)
-                np.testing.assert_array_equal(batch.tensor[b, :keep],
-                                              stream.matrix[:keep])
-
-    def test_accepts_text_embeddings(self):
-        emb = ex.TextEmbedding("c", np.arange(12.0).reshape(4, 3),
-                               np.ones(4, dtype=bool))
-        oov = ex.TextEmbedding("d", np.zeros((1, 3)), np.zeros(1, dtype=bool))
-        batch = ex.cap_and_pad([emb, oov], max_len=3)
-        assert batch.lengths[0] == 3 and batch.lengths[1] == 0
-        assert not batch.mask[1].any()
 
 
 class TestTextSources:

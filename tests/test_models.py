@@ -571,3 +571,46 @@ def test_mmt_clip_alone_matches_its_row_among_changing_batchmates():
             batch = mates[:at] + [clip.streams] + mates[at:]
             got = model.encode_audio(batch).vectors.data[at]
             np.testing.assert_array_equal(got, alone)
+
+
+# -- stored configs ------------------------------------------------------
+
+# per architecture: non-default overrides and the config_dict() a
+# checkpoint stores for them (key order included), as written by every
+# release with checkpoint version 1
+_STORED_CONFIGS = {
+    "moee": (dict(text_clusters=3, text_ghost=0, audio_clusters=2,
+                  audio_ghost=1, joint_dim=6),
+             {"experts": ["q", "p"], "expert_dims": {"q": 3, "p": 4},
+              "word_dim": 5, "text_clusters": 3, "text_ghost": 0,
+              "audio_clusters": 2, "audio_ghost": 1, "joint_dim": 6}),
+    "ce": (dict(text_clusters=3, text_ghost=0, audio_clusters=2,
+                audio_ghost=1, joint_dim=6, gate_width=7),
+           {"experts": ["q", "p"], "expert_dims": {"q": 3, "p": 4},
+            "word_dim": 5, "text_clusters": 3, "text_ghost": 0,
+            "audio_clusters": 2, "audio_ghost": 1, "joint_dim": 6,
+            "gate_width": 7}),
+    "mmt": (dict(model_dim=8, layers=2, heads=2, ff_dim=12, max_frames=9),
+            {"experts": ["q", "p"], "expert_dims": {"q": 3, "p": 4},
+             "text_dim": 5, "model_dim": 8, "layers": 2, "heads": 2,
+             "ff_dim": 12, "max_frames": 9}),
+}
+
+
+@pytest.mark.parametrize("arch", ["moee", "ce", "mmt"])
+def test_config_dict_is_the_stored_format_and_rebuilds(arch):
+    """config_dict() keeps the checkpoint's stored keys, order and plain
+    ints (dims of unconfigured experts dropped), and model_from_config
+    rebuilds a model with the same config and parameter shapes."""
+    overrides, stored = _STORED_CONFIGS[arch]
+    dims = {"p": np.int64(4), "q": 3, "r": 5}
+    model = md.build_model(arch, ("q", "p"), dims, 5,
+                           np.random.default_rng(0), overrides)
+    got = model.config_dict()
+    assert list(got.items()) == list(stored.items())
+    assert all(type(d) is int for d in got["expert_dims"].values())
+    back = md.model_from_config(arch, got, np.random.default_rng(1))
+    assert type(back) is type(model)
+    assert back.config_dict() == stored
+    assert ({n: t.data.shape for n, t in back.named_parameters().items()}
+            == {n: t.data.shape for n, t in model.named_parameters().items()})
