@@ -90,11 +90,17 @@ class Tensor:
     # -- autodiff ------------------------------------------------------
 
     def backward(self) -> None:
-        """Backpropagate from a scalar output to every leaf requiring grad."""
+        """Backpropagate from a scalar output to every leaf requiring grad.
+
+        A node's gradient contributions are summed in arrival order, the
+        later ones in place into the buffer that the first sum allocated.
+        A contribution is never written to: a backward closure may hand one
+        array to several parents, as add's does."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
         order = _toposort(self)
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        owned: set[int] = set()  # keys whose buffer an earlier sum allocated
         for node in reversed(order):
             grad = grads.pop(id(node), None)
             if grad is None:
@@ -106,8 +112,11 @@ class Tensor:
                 if pgrad is None or not parent.requires_grad:
                     continue
                 key = id(parent)
-                if key in grads:
+                if key in owned:
+                    grads[key] += pgrad
+                elif key in grads:
                     grads[key] = grads[key] + pgrad
+                    owned.add(key)
                 else:
                     grads[key] = pgrad
 
@@ -249,9 +258,9 @@ def pairwise_inner(a, b) -> Tensor:
 ROW_BLOCK = 32
 
 
-def stacked_matmul(x, w, offsets=None) -> Tensor:
-    """x @ w for every row of x (any leading shape, last axis K) with a
-    K x N matrix w.
+def stacked_matmul(x, w, offsets=None, bias=None) -> Tensor:
+    """x @ w (+ bias) for every row of x (any leading shape, last axis K)
+    with a K x N matrix w.
 
     The forward pass runs the rows through GEMMs of exactly ROW_BLOCK rows
     (zero-padding the last), so a row's result is bitwise the same whatever
@@ -259,10 +268,11 @@ def stacked_matmul(x, w, offsets=None) -> Tensor:
     changes with its row count. With `offsets`, each row segment
     offsets[i]:offsets[i + 1] is instead one GEMM over its own rows, so a
     segment's result is bitwise that of the segment multiplied alone.
-    Inside `rowwise()` it is one einsum per row instead. The backward pass
-    is one GEMM per operand, and w's gradient takes w's memory layout: a
-    transposed view of a row-major weight gets a gradient whose transpose
-    is row-major.
+    Inside `rowwise()` it is one einsum per row instead. A `bias` of N
+    values is added to the output in place, with the bits of a separate
+    add. The backward pass is one GEMM per operand, and w's gradient takes
+    w's memory layout: a transposed view of a row-major weight gets a
+    gradient whose transpose is row-major.
     """
     x, w = as_tensor(x), as_tensor(w)
     if w.ndim != 2 or x.shape[-1] != w.shape[0]:
@@ -286,14 +296,17 @@ def stacked_matmul(x, w, offsets=None) -> Tensor:
             tail[: n - full] = rows[full:]
             out[full:] = (tail @ w.data)[: n - full]
     data = out.reshape(x.shape[:-1] + (w.shape[1],))
+    bias = None if bias is None else as_tensor(bias)
+    if bias is not None:
+        data += bias.data
 
     def backward(g):
         g2 = g.reshape(n, w.shape[1])
         gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
         gw = rows.T @ g2 if w.data.flags.c_contiguous else (g2.T @ rows).T
-        return gx, gw
+        return gx, gw, None if bias is None else _unbroadcast(g, bias.shape)
 
-    return _make(data, (x, w), backward)
+    return _make(data, (x, w) if bias is None else (x, w, bias), backward)
 
 
 def _segment_bounds(offsets) -> list[tuple[int, int]]:
@@ -347,18 +360,21 @@ def segment_sum(a, offsets) -> Tensor:
 
 
 def segment_attention(q, k, v, offsets, heads: int,
-                      sink: list | None = None) -> Tensor:
+                      sink: list | None = None, q_offsets=None) -> Tensor:
     """Multi-head scaled dot-product attention inside each row segment.
 
     q, k and v are N x D; segment s = offsets[i]:offsets[i + 1] attends
-    only to itself, head h using columns h*D/heads:(h+1)*D/heads. Each
-    segment's attention matrices are appended to `sink` when given.
+    only to itself, head h using columns h*D/heads:(h+1)*D/heads. With
+    `q_offsets`, q is M x D and segment i's queries are its rows
+    q_offsets[i]:q_offsets[i + 1]. Each segment's attention matrices
+    (queries x keys) are appended to `sink` when given.
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
-    n, dim = q.shape
+    dim = k.shape[1]
     hd = dim // heads
     scale = 1.0 / np.sqrt(hd)
     bounds = _segment_bounds(offsets)
+    q_bounds = bounds if q_offsets is None else _segment_bounds(q_offsets)
 
     def split(m, lo, hi):  # (hi - lo, dim) -> (heads, hi - lo, hd)
         return m[lo:hi].reshape(hi - lo, heads, hd).transpose(1, 0, 2)
@@ -366,26 +382,26 @@ def segment_attention(q, k, v, offsets, heads: int,
     def merge(m):
         return m.transpose(1, 0, 2).reshape(-1, dim)
 
-    data = np.empty((n, dim))
+    data = np.empty(q.shape)
     probs = []
-    for lo, hi in bounds:
+    for (qlo, qhi), (lo, hi) in zip(q_bounds, bounds):
         keys = split(k.data, lo, hi).transpose(0, 2, 1)
-        scores = (split(q.data, lo, hi) @ keys) * scale
+        scores = (split(q.data, qlo, qhi) @ keys) * scale
         e = np.exp(scores - scores.max(axis=2, keepdims=True))
         p = e / e.sum(axis=2, keepdims=True)
         probs.append(p)
-        data[lo:hi] = merge(p @ split(v.data, lo, hi))
+        data[qlo:qhi] = merge(p @ split(v.data, lo, hi))
         if sink is not None:
             sink.extend(p[h].copy() for h in range(heads))
 
     def backward(g):
-        gq, gk, gv = (np.empty((n, dim)) for _ in range(3))
-        for (lo, hi), p in zip(bounds, probs):
-            gh = split(g, lo, hi)
-            qh, kh, vh = (split(m.data, lo, hi) for m in (q, k, v))
+        gq, gk, gv = (np.empty(m.shape) for m in (q, k, v))
+        for (qlo, qhi), (lo, hi), p in zip(q_bounds, bounds, probs):
+            gh, qh = split(g, qlo, qhi), split(q.data, qlo, qhi)
+            kh, vh = split(k.data, lo, hi), split(v.data, lo, hi)
             dp = gh @ vh.transpose(0, 2, 1)
             ds = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * scale
-            gq[lo:hi] = merge(ds @ kh)
+            gq[qlo:qhi] = merge(ds @ kh)
             gk[lo:hi] = merge(ds.transpose(0, 2, 1) @ qh)
             gv[lo:hi] = merge(p.transpose(0, 2, 1) @ gh)
         return gq, gk, gv
@@ -479,15 +495,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    if axis is None:
-        count = a.data.size
-    else:
-        count = a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 # -- elementwise nonlinearities ---------------------------------------
 
 
@@ -542,6 +549,26 @@ def sqrt(a) -> Tensor:
         return (g * 0.5 / out,)
 
     return _make(out, (a,), backward)
+
+
+def layernorm(x, gain, bias, eps: float) -> Tensor:
+    """(x - mean) / sqrt(var + eps) * gain + bias over the last axis."""
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    scale = 1.0 / x.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * scale
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * scale + eps)
+    normed = centered / std
+    data = normed * gain.data + bias.data
+
+    def backward(g):
+        gn = g * gain.data
+        gx = gn - gn.sum(axis=-1, keepdims=True) * scale
+        gn *= normed
+        gx -= normed * (gn.sum(axis=-1, keepdims=True) * scale)
+        gx /= std
+        return gx, _unbroadcast(g * normed, gain.shape), _unbroadcast(g, bias.shape)
+
+    return _make(data, (x, gain, bias), backward)
 
 
 def square(a) -> Tensor:

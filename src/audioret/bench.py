@@ -39,7 +39,7 @@ DATA_ENV = "AUDIORET_DATA_ROOT"
 
 # Bumped whenever a change alters the floats training produces, so cached
 # run artifacts from earlier numerics are never served for a new run.
-NUMERICS_VERSION = 3
+NUMERICS_VERSION = 4
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_FRACTIONS = (0.125, 0.25, 0.5, 1.0)

@@ -136,7 +136,7 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
 def affine(x, w: ad.Tensor, b: ad.Tensor, offsets=None) -> ad.Tensor:
     """x W^T + b for a vector or for every row of a stack of them, one
     GEMM per row segment when `offsets` are given (see stacked_matmul)."""
-    return ad.add(ad.stacked_matmul(x, ad.transpose(w), offsets), b)
+    return ad.stacked_matmul(x, ad.transpose(w), offsets, b)
 
 
 class Linear:
@@ -221,7 +221,7 @@ class NetVlad:
         x, offsets = canonical_rows(streams)
         batch, k = len(streams), self.clusters
 
-        logits = ad.add(ad.stacked_matmul(x, self.assign_w), self.assign_b)
+        logits = ad.stacked_matmul(x, self.assign_w, None, self.assign_b)
         assign = ad.softmax(logits, axis=1)[:, :k]
         mass = ad.segment_sum(assign, offsets)  # per-cluster assignment mass
         vlad = ad.sub(ad.segment_matmul(assign, x, offsets),

@@ -7,7 +7,9 @@ sequence runs through L pre-norm self-attention blocks, and the final
 state at each aggregation token is that expert's audio embedding.
 Only unmasked frames enter the sequence, so padding cannot influence
 the outputs at all. With L=0 the aggregation states pass through
-untouched.
+untouched. The last block computes keys and values over every row, but
+the rest only at the aggregation rows, the only rows read; each matches
+the full block's row to rounding.
 
 Text side: masked mean over provider token embeddings, then per-expert
 gated units and a softmax mixture head, mirroring the other models.
@@ -62,26 +64,24 @@ class _Block:
         self.ff1 = Linear(dim, ff_dim, rng)
         self.ff2 = Linear(ff_dim, dim, rng)
 
-    def _layernorm(self, x: ad.Tensor, gain: ad.Tensor, bias: ad.Tensor) -> ad.Tensor:
-        mean = ad.tmean(x, axis=1, keepdims=True)
-        centered = ad.sub(x, mean)
-        var = ad.tmean(ad.square(centered), axis=1, keepdims=True)
-        normed = ad.div(centered, ad.sqrt(ad.add(var, LN_EPS)))
-        return ad.add(ad.mul(normed, gain), bias)
-
-    def __call__(self, x: ad.Tensor, offsets, attn_sink: list | None = None
-                 ) -> ad.Tensor:
+    def __call__(self, x: ad.Tensor, offsets, attn_sink: list | None = None,
+                 keep=None) -> ad.Tensor:
         """x stacks every item's sequence; attention stays inside each
         item's rows offsets[i]:offsets[i + 1], and every dense layer runs
-        one GEMM per item."""
-        h = self._layernorm(x, self.ln1_g, self.ln1_b)
-        context = ad.segment_attention(
-            self.wq(h, offsets), self.wk(h, offsets), self.wv(h, offsets),
-            offsets, self.heads, attn_sink)
-        x = ad.add(x, self.wo(context, offsets))
-        h = self._layernorm(x, self.ln2_g, self.ln2_b)
-        x = ad.add(x, self.ff2(ad.relu(self.ff1(h, offsets)), offsets))
-        return x
+        one GEMM per item. With keep = (rows, keep_offsets), only those
+        rows of x are computed past the keys and values, item i's being
+        keep_offsets[i]:keep_offsets[i + 1] of the output."""
+        h = ad.layernorm(x, self.ln1_g, self.ln1_b, LN_EPS)
+        k, v = self.wk(h, offsets), self.wv(h, offsets)
+        q_offsets = offsets
+        if keep is not None:
+            rows, q_offsets = keep
+            x, h = ad.take_rows(x, rows), ad.take_rows(h, rows)
+        context = ad.segment_attention(self.wq(h, q_offsets), k, v, offsets,
+                                       self.heads, attn_sink, q_offsets)
+        x = ad.add(x, self.wo(context, q_offsets))
+        h = ad.layernorm(x, self.ln2_g, self.ln2_b, LN_EPS)
+        return ad.add(x, self.ff2(ad.relu(self.ff1(h, q_offsets)), q_offsets))
 
     def named_parameters(self) -> dict[str, ad.Tensor]:
         params = {"ln1_g": self.ln1_g, "ln1_b": self.ln1_b,
@@ -119,7 +119,10 @@ class MmtModel:
         aggregation-token states.
 
         Projections, LayerNorm and feed-forward layers run once over all
-        items' concatenated valid frames.
+        items' concatenated valid frames; the last block computes only the
+        aggregation rows past its keys and values. `attn_sink` receives,
+        per block and item, one matrix per head: sequence x sequence,
+        except in the last block, where it is present experts x sequence.
         """
         experts = self.cfg.experts
         present, rows = gather_streams(experts, streams)
@@ -146,18 +149,23 @@ class MmtModel:
 
         # each item's sequence: per present expert, its aggregation token
         # then its frames
-        order, agg_rows, offsets = [], np.zeros(present.shape, dtype=np.intp), [0]
+        order, agg_rows, offsets = [], [], [0]
         for b in range(present.shape[0]):
             for i in np.flatnonzero(present[b]):
                 lo, count = next(spans[experts[i]])
-                agg_rows[b, i] = 1 + len(order)
+                agg_rows.append(len(order))
                 order += [i] + list(range(lo, lo + count))
             offsets.append(len(order))
         x = ad.take_rows(ad.concat(parts, axis=0), order)
-        for block in self.blocks:
+        for block in self.blocks[:-1]:
             x = block(x, offsets, attn_sink)
+        kept = np.cumsum([0] + present.sum(axis=1).tolist())  # kept-row offsets
+        x = (self.blocks[-1](x, offsets, attn_sink, (agg_rows, kept))
+             if self.blocks else ad.take_rows(x, agg_rows))
+        index = np.zeros(present.shape, dtype=np.intp)
+        index[present] = 1 + np.arange(len(agg_rows))
         padded = ad.concat([np.zeros((1, self.cfg.model_dim)), x], axis=0)
-        return AudioBatch(ad.take_rows(padded, agg_rows), present)
+        return AudioBatch(ad.take_rows(padded, index), present)
 
     # -- text side -----------------------------------------------------
 

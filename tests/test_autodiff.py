@@ -47,7 +47,7 @@ class TestPrimitives:
 
         def build():
             s = ad.tsum(x, axis=0)
-            m = ad.tmean(x, axis=1, keepdims=True)
+            m = ad.tsum(x, axis=1, keepdims=True) * 0.25
             flat = ad.reshape(x - m, (12,))
             return ad.tsum(ad.square(s)) + ad.tsum(ad.exp(flat * 0.1))
 
@@ -296,6 +296,62 @@ class TestBatchOps:
 
         check_gradients(build, {"a": a, "b": b, "c": c})
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_layernorm_matches_finite_differences_and_composed_ops(self, seed):
+        rng = np.random.default_rng(seed)
+        x = ad.parameter(rng.standard_normal((5, 6)) * 3.0 + 1.0)
+        gain, bias = _leaf(rng, 6), _leaf(rng, 6)
+        probe = rng.standard_normal((5, 6))
+        params = {"x": x, "gain": gain, "bias": bias}
+
+        def fused():
+            return ad.tsum(ad.mul(ad.layernorm(x, gain, bias, 1e-5), probe))
+
+        def composed():
+            mean = ad.tsum(x, axis=1, keepdims=True) * (1.0 / 6)
+            centered = ad.sub(x, mean)
+            var = ad.tsum(ad.square(centered), axis=1, keepdims=True) * (1.0 / 6)
+            normed = ad.div(centered, ad.sqrt(ad.add(var, 1e-5)))
+            return ad.tsum(ad.mul(ad.add(ad.mul(normed, gain), bias), probe))
+
+        def value_and_grads(build):
+            loss = build()
+            loss.backward()
+            grads = {n: p.grad for n, p in params.items()}
+            for p in params.values():
+                p.grad = None
+            return loss.item(), grads
+
+        check_gradients(fused, params)
+        want_value, want = value_and_grads(composed)
+        got_value, got = value_and_grads(fused)
+        assert abs(got_value - want_value) <= 1e-12
+        for name in params:
+            np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("path", ["blocks", "offsets", "rowwise"])
+    def test_stacked_matmul_bias_is_bitwise_a_separate_add(self, path):
+        """The fused bias gives the forward values and all three gradients
+        of stacked_matmul followed by add, bit for bit."""
+        rng = np.random.default_rng(7)
+        x = _leaf(rng, 40, 9)
+        w = _leaf(rng, 7, 9)
+        b = _leaf(rng, 7)
+        probe = rng.standard_normal((40, 7))
+        offsets = [0, 3, 3, 17, 40] if path == "offsets" else None
+        results = []
+        for fused in (False, True):
+            with ad.rowwise(path == "rowwise"):
+                if fused:
+                    out = ad.stacked_matmul(x, ad.transpose(w), offsets, b)
+                else:
+                    out = ad.add(ad.stacked_matmul(x, ad.transpose(w), offsets), b)
+            ad.tsum(ad.mul(ad.tanh(out), probe)).backward()
+            results.append([out.data] + [p.grad for p in (x, w, b)])
+            x.grad = w.grad = b.grad = None
+        for want, got in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
 class TestEngine:
     def test_grad_accumulates_over_reuse(self):
         """A leaf used twice receives the sum of both paths' gradients."""
@@ -325,6 +381,58 @@ class TestEngine:
         x = np.array([1.0, -2.0, 0.5])
         grad = finite_difference(lambda: float((x ** 2).sum()), x)
         assert relative_grad_error(grad, 2.0 * x) < 1e-8
+
+    @staticmethod
+    def _grads_by_plain_sums(root, leaves):
+        """Leaf gradients from a backward pass that sums every node's
+        contributions as a + b into a new array, in the tape's order."""
+        grads = {id(root): np.ones_like(root.data)}
+        for node in reversed(ad._toposort(root)):
+            grad = grads.pop(id(node), None)
+            if grad is None or node._backward is None:
+                grads[id(node)] = grad
+                continue
+            for parent, pgrad in zip(node._parents, node._backward(grad)):
+                if pgrad is not None and parent.requires_grad:
+                    key = id(parent)
+                    grads[key] = grads[key] + pgrad if key in grads else pgrad
+        return [grads[id(leaf)] for leaf in leaves]
+
+    def test_node_with_three_consumers_sums_like_plain_adds(self):
+        """In-place accumulation gives bitwise the a + b rule's gradient."""
+        rng = np.random.default_rng(3)
+        x, c = _leaf(rng, 6, 5), _leaf(rng, 5)
+        probes = [rng.standard_normal((6, 5)) * 10.0 ** k for k in range(3)]
+
+        def build():
+            y = ad.tanh(x * c)
+            return ad.tsum(ad.mul(ad.sigmoid(y), probes[0])) \
+                + ad.tsum(ad.mul(ad.exp(y), probes[1])) \
+                + ad.tsum(ad.mul(y, probes[2]))
+
+        want = self._grads_by_plain_sums(build(), [x, c])
+        build().backward()
+        np.testing.assert_array_equal(x.grad, want[0])
+        np.testing.assert_array_equal(c.grad, want[1])
+
+    def test_buffer_shared_by_two_parents_is_not_summed_into(self):
+        """add hands one array to both parents; each parent's further
+        contributions must not write into it."""
+        rng = np.random.default_rng(4)
+        a, b = _leaf(rng, 4, 3), _leaf(rng, 4, 3)
+        probe = rng.standard_normal((4, 3))
+
+        def build():
+            u, v = ad.tanh(a), ad.sigmoid(b)
+            s = ad.add(u, v)
+            extra = ad.tsum(ad.mul(u, probe)) + ad.tsum(ad.mul(v, probe))
+            return ad.tsum(ad.mul(s, probe)) + extra + ad.tsum(ad.square(u))
+
+        check_gradients(build, {"a": a, "b": b})
+        want = self._grads_by_plain_sums(build(), [a, b])
+        build().backward()
+        np.testing.assert_array_equal(a.grad, want[0])
+        np.testing.assert_array_equal(b.grad, want[1])
 
     def test_unbroadcast_restores_shapes(self):
         rng = np.random.default_rng(1)

@@ -8,7 +8,7 @@ from audioret import models as md
 from audioret.experts import AudioClip, TextEmbedding
 from audioret.models.blocks import stream_rows
 from helpers import (check_gradients, ref_ce_score, ref_gated_unit,
-                     ref_mmt_score, ref_moee_score, ref_netvlad)
+                     ref_mmt_encode, ref_mmt_score, ref_moee_score, ref_netvlad)
 
 
 def _rig_unit(unit, target: np.ndarray) -> None:
@@ -571,6 +571,66 @@ def test_mmt_clip_alone_matches_its_row_among_changing_batchmates():
             batch = mates[:at] + [clip.streams] + mates[at:]
             got = model.encode_audio(batch).vectors.data[at]
             np.testing.assert_array_equal(got, alone)
+
+
+def _mmt_batch_with_missing_expert(rng, model):
+    """Three clips of random lengths; the second has no "p" stream."""
+    return [{e: rng.standard_normal((int(rng.integers(1, 8)),
+                                     model.cfg.expert_dims[e]))
+             for e in (("q",) if j == 1 else ("p", "q"))} for j in range(3)]
+
+
+def test_mmt_last_block_computes_only_aggregation_rows(monkeypatch):
+    """In the last block, wq, wo, ff1 and ff2 see one row per present
+    (item, expert) and wk and wv every row; earlier blocks see every row.
+    The last block's attention matrices are present experts x sequence."""
+    rng = np.random.default_rng(970)
+    model = _mmt(rng, layers=2)
+    streams = _mmt_batch_with_missing_expert(rng, model)
+    present = sum(len(s) for s in streams)
+    lengths = [len(s) + sum(f.shape[0] for f in s.values()) for s in streams]
+    names = {id(t.data): n for n, t in model.named_parameters().items()}
+    rows: dict[str, int] = {}
+    stacked_matmul = ad.stacked_matmul
+
+    def spy(x, w, *rest):
+        name = names.get(id(w.data.base))
+        if name is not None and name.startswith("block."):
+            rows[name] = int(np.prod(x.shape[:-1]))
+        return stacked_matmul(x, w, *rest)
+
+    monkeypatch.setattr(ad, "stacked_matmul", spy)
+    sink: list = []
+    model.encode_audio(streams, attn_sink=sink)
+    for layer in ("wq", "wk", "wv", "wo", "ff1", "ff2"):
+        assert rows[f"block.0.{layer}.w"] == sum(lengths)
+        last = sum(lengths) if layer in ("wk", "wv") else present
+        assert rows[f"block.1.{layer}.w"] == last
+    heads = model.cfg.heads
+    assert len(sink) == 2 * len(streams) * heads
+    for b, (item, n) in enumerate(zip(streams, lengths)):
+        for attn in sink[(len(streams) + b) * heads:][:heads]:
+            assert attn.shape == (len(item), n)
+            np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("layers", [0, 1, 3])
+def test_mmt_encode_matches_full_sequence_reference(layers):
+    """The pruned last block gives the aggregation states of the full
+    plain-numpy forward, with a missing expert in the batch."""
+    rng = np.random.default_rng(980 + layers)
+    model = _mmt(rng, layers=layers)
+    streams = _mmt_batch_with_missing_expert(rng, model)
+    batch = model.encode_audio(streams)
+    for b, item in enumerate(streams):
+        want = ref_mmt_encode(model, item)
+        for i, expert in enumerate(model.cfg.experts):
+            assert batch.present[b, i] == (expert in item)
+            got = batch.vectors.data[b, i]
+            if expert in item:
+                np.testing.assert_allclose(got, want[expert], rtol=0, atol=1e-12)
+            else:
+                np.testing.assert_array_equal(got, np.zeros_like(got))
 
 
 # -- stored configs ------------------------------------------------------
