@@ -235,15 +235,51 @@ def div(a, b) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-def pairwise_inner(a, b) -> Tensor:
-    """s[i, j, e] = <a_ie, b_je> for Bt x E x D and Ba x E x D operands,
-    with each entry reduced independently.
+# rows and columns of every GEMM tile in pairwise_inner's forward pass
+SCORE_TILE = 32
 
-    The forward pass uses einsum without optimization so the reduction for
-    an entry never depends on which other rows are in the batch.
+
+def _tile_rows(x: np.ndarray) -> np.ndarray:
+    """B x E x D as E x tiles x SCORE_TILE x D, B zero-padded to whole tiles."""
+    count, experts, dim = x.shape
+    tiles = -(-count // SCORE_TILE)
+    out = np.zeros((experts, tiles * SCORE_TILE, dim))
+    out[:, :count] = x.transpose(1, 0, 2)
+    return out.reshape(experts, tiles, SCORE_TILE, dim)
+
+
+def score_tiles(b: np.ndarray) -> np.ndarray:
+    """The right operand of pairwise_inner (B x E x D) as its GEMM tiles
+    take it: E x tiles x D x SCORE_TILE, B zero-padded to whole tiles. A
+    caller that scores one operand many times lays it out once."""
+    return np.ascontiguousarray(_tile_rows(b).swapaxes(-1, -2))
+
+
+def pairwise_inner(a, b, b_tiles: np.ndarray | None = None) -> Tensor:
+    """s[i, j, e] = <a_ie, b_je> for Bt x E x D and Ba x E x D operands.
+
+    The forward pass multiplies each expert's rows of a against its rows of
+    b in GEMMs of exactly SCORE_TILE x SCORE_TILE entries, both operands
+    zero-padded to whole tiles, so an entry's bits never depend on Bt, Ba,
+    its position or its batchmates. `b_tiles` is score_tiles(b.data), when
+    the caller keeps it. Inside `rowwise()` the forward pass is one
+    unoptimized einsum instead, which costs a single row one pass over b.
     """
     a, b = as_tensor(a), as_tensor(b)
-    data = np.einsum("ied,jed->ije", a.data, b.data, optimize=False)
+    if _ROWWISE:
+        data = np.einsum("ied,jed->ije", a.data, b.data, optimize=False)
+    else:
+        a_tiles = _tile_rows(a.data)
+        if b_tiles is None:
+            b_tiles = score_tiles(b.data)
+        rows, cols = a_tiles.shape[1], b_tiles.shape[1]
+        # E x row tiles x column tiles x SCORE_TILE x SCORE_TILE, a GEMM each
+        blocks = a_tiles[:, :, None] @ b_tiles[:, None]
+        out = np.empty((rows, SCORE_TILE, cols, SCORE_TILE, len(blocks)))
+        for e, block in enumerate(blocks):
+            out[..., e] = block.transpose(0, 2, 1, 3)
+        data = out.reshape(rows * SCORE_TILE, cols * SCORE_TILE, -1)[
+            :a.shape[0], :b.shape[0]]
 
     def backward(g):
         per_expert = g.transpose(2, 0, 1)  # E x Bt x Ba
@@ -314,49 +350,84 @@ def _segment_bounds(offsets) -> list[tuple[int, int]]:
     return list(zip(offsets[:-1].tolist(), offsets[1:].tolist()))
 
 
+def _length_groups(offsets) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Segments offsets[i]:offsets[i + 1] grouped by length, shortest first:
+    for each length L > 0, the segment numbers that have it and the matrix
+    of their row numbers, one segment per row."""
+    offsets = np.asarray(offsets, dtype=np.intp)
+    lengths = np.diff(offsets)
+    groups = []
+    for length in np.unique(lengths[lengths > 0]):
+        segments = np.flatnonzero(lengths == length)
+        groups.append((segments, offsets[segments, None] + np.arange(length)))
+    return groups
+
+
+def _take(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """m[rows] for a row-number matrix of _length_groups; a view of m, not a
+    copy, when the rows are one range, as when all segments are equally
+    long."""
+    first = rows[0, 0]
+    if rows[-1, -1] - first + 1 == rows.size:
+        return m[first:first + rows.size].reshape(rows.shape + m.shape[1:])
+    return m[rows]
+
+
 def segment_matmul(a, x, offsets) -> Tensor:
     """out[s] = a[rows of s]^T @ x[rows of s] for row segments
     s = offsets[i]:offsets[i + 1] of an N x K and an N x D operand.
 
-    Each segment is one GEMM over its own rows only, so its result never
-    depends on the other segments or on padding. Shape (S, K, D).
+    The segments of one length go through one stacked matmul, a GEMM per
+    segment over its own rows only, so a segment's result never depends on
+    the other segments or on padding; an empty segment gives zeros. Both
+    gradients are one stacked matmul per length too. Shape (S, K, D).
     """
     a, x = as_tensor(a), as_tensor(x)
-    bounds = _segment_bounds(offsets)
-    data = np.zeros((len(bounds), a.shape[1], x.shape[1]))
-    for s, (lo, hi) in enumerate(bounds):
-        data[s] = a.data[lo:hi].T @ x.data[lo:hi]
+    groups = _length_groups(offsets)
+    data = np.zeros((len(offsets) - 1, a.shape[1], x.shape[1]))
+    for segments, rows in groups:
+        data[segments] = _take(a.data, rows).transpose(0, 2, 1) @ _take(x.data, rows)
 
     def backward(g):
         ga = np.empty_like(a.data)
         gx = np.empty_like(x.data) if x.requires_grad else None
-        for s, (lo, hi) in enumerate(bounds):
-            ga[lo:hi] = x.data[lo:hi] @ g[s].T
+        for segments, rows in groups:
+            gs = g[segments]
+            ga[rows] = _take(x.data, rows) @ gs.transpose(0, 2, 1)
             if gx is not None:
-                gx[lo:hi] = a.data[lo:hi] @ g[s]
+                gx[rows] = _take(a.data, rows) @ gs
         return ga, gx
 
     return _make(data, (a, x), backward)
 
 
+def _run_sums(rows: np.ndarray, offsets) -> np.ndarray:
+    """The sum of rows[offsets[i]:offsets[i + 1]] for each i, added in row
+    order to zero: bitwise ((0 + r0) + r1) + ..., zero for an empty run.
+    The runs of one length are summed together, one addition per row."""
+    out = np.zeros((len(offsets) - 1,) + rows.shape[1:])
+    for segments, members in _length_groups(offsets):
+        hits = _take(rows, members).swapaxes(0, 1)  # row of the run x run x ...
+        total = hits[0] + 0.0
+        for hit in hits[1:]:
+            total += hit
+        out[segments] = total
+    return out
+
+
 def segment_sum(a, offsets) -> Tensor:
     """Sum the rows of each segment offsets[i]:offsets[i + 1], in row order.
 
-    Row t of every segment is added at step t, so a segment's sum depends
-    on its own rows only; an empty segment sums to zero.
+    A segment's sum depends on its own rows only; an empty segment sums to
+    zero.
     """
     a = as_tensor(a)
-    offsets = np.asarray(offsets, dtype=np.intp)
-    lengths = np.diff(offsets)
-    data = np.zeros((lengths.size,) + a.shape[1:])
-    for step in range(lengths.max(initial=0)):
-        live = lengths > step
-        data[live] += a.data[offsets[:-1][live] + step]
+    lengths = np.diff(np.asarray(offsets, dtype=np.intp))
 
     def backward(g):
         return (np.repeat(g, lengths, axis=0),)
 
-    return _make(data, (a,), backward)
+    return _make(_run_sums(a.data, offsets), (a,), backward)
 
 
 def segment_attention(q, k, v, offsets, heads: int,
@@ -431,14 +502,43 @@ def transpose(a) -> Tensor:
     return _make(a.data.T, (a,), backward)
 
 
+def _scatter_rows(index: np.ndarray, g: np.ndarray, shape) -> np.ndarray:
+    """np.add.at(np.zeros(shape), index, g) for an integer index array into
+    axis 0, with the same bits: a stable sort puts each row's contributions
+    next to each other in index order, and _run_sums adds them to zero."""
+    flat = index.reshape(-1)
+    flat = np.where(flat < 0, flat + shape[0], flat)
+    order = np.argsort(flat, kind="stable")
+    ordered = flat[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+    contributions = g.reshape((flat.size,) + tuple(shape[1:]))[order]
+    out = np.zeros(shape)
+    out[ordered[starts]] = _run_sums(contributions, np.append(starts, flat.size))
+    return out
+
+
+_BASIC_KEYS = (slice, int, np.integer, type(None), type(Ellipsis))
+
+
 def getitem(a, key) -> Tensor:
-    """Slice or fancy-index; backward scatter-adds into the source."""
+    """Slice or fancy-index; backward scatter-adds into the source.
+
+    The backward pass of an integer index array is _scatter_rows, bitwise
+    np.add.at with duplicate and negative indices. A basic index (slices,
+    integers) reaches each element once, so it adds g in one step; any
+    other key goes through np.add.at."""
     a = as_tensor(a)
     data = a.data[key]
 
     def backward(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, key, g)
+        if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
+            return (_scatter_rows(key, g, a.shape),)
+        out = np.zeros(a.shape)
+        parts = key if isinstance(key, tuple) else (key,)
+        if all(isinstance(part, _BASIC_KEYS) for part in parts):
+            out[key] += g
+        else:
+            np.add.at(out, key, g)
         return (out,)
 
     return _make(data, (a,), backward)

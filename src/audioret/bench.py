@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import models as md
 from . import training as tr
-from .corpus import (DATASET_NAMES, Corpus, load_benchmark)
+from .corpus import DATASET_NAMES, CaptionRecord, Corpus, load_benchmark
 from .evaluation import (MetricsReport, ResultRow, SeedAggregate,
                          a2t_ground_truth, aggregate_seeds, compute_metrics,
                          render_csv, render_table, report_from_dict,
@@ -39,7 +39,7 @@ DATA_ENV = "AUDIORET_DATA_ROOT"
 
 # Bumped whenever a change alters the floats training produces, so cached
 # run artifacts from earlier numerics are never served for a new run.
-NUMERICS_VERSION = 4
+NUMERICS_VERSION = 5
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
@@ -517,6 +517,7 @@ class Searcher:
         _, _, clips = tr.stage_split(corpus, split, store, text_source,
                                      experts, ckpt.train_config)
         self.pool_ids = sorted(clips)
+        self._ids = np.asarray(self.pool_ids)
         self.pool = encode_clips(self.model, [clips[sid] for sid in self.pool_ids])
 
     def search(self, query: str, top_k: int = 10) -> list[tuple[str, float]]:
@@ -524,12 +525,9 @@ class Searcher:
             raise ValueError("empty query")
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
-        from .corpus import CaptionRecord
-        probe = CaptionRecord("query", "query", query)
-        emb = self.text_source.tokens_for(probe)
+        emb = self.text_source.tokens_for(CaptionRecord("query", "query", query))
         with ad.no_grad():
             scores = combine_scores(self.model.encode_text([emb]), self.pool)
         values = np.clip(scores.data[0], -1.0, 1.0)
-        ids = np.asarray(self.pool_ids)
-        order = np.lexsort((ids, -values))[:min(top_k, len(ids))]
-        return [(str(ids[i]), float(values[i])) for i in order]
+        order = np.lexsort((self._ids, -values))[:top_k]
+        return [(self.pool_ids[i], float(values[i])) for i in order]

@@ -41,6 +41,11 @@ class AudioBatch:
         """The expert vectors at unit length, computed once per batch."""
         return ad.row_normalize(self.vectors)
 
+    @cached_property
+    def unit_tiles(self) -> np.ndarray:
+        """`unit` laid out for pairwise_inner, once per batch."""
+        return ad.score_tiles(self.unit.data)
+
 
 def text_batch(units: dict, head, experts: tuple[str, ...], pooled) -> TextBatch:
     """Per-expert gated units and the softmax mixture head over B pooled

@@ -1,5 +1,10 @@
 """Gradient checks for the reverse-mode tape against finite differences."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -351,6 +356,166 @@ class TestBatchOps:
             x.grad = w.grad = b.grad = None
         for want, got in zip(*results):
             np.testing.assert_array_equal(got, want)
+
+def _segment_matmul_loop(a, x, offsets, g):
+    """The per-segment loop segment_matmul replaced: its forward values and
+    both gradients for upstream gradient g."""
+    bounds = list(zip(offsets[:-1], offsets[1:]))
+    data = np.zeros((len(bounds), a.shape[1], x.shape[1]))
+    ga, gx = np.empty_like(a), np.empty_like(x)
+    for s, (lo, hi) in enumerate(bounds):
+        data[s] = a[lo:hi].T @ x[lo:hi]
+        ga[lo:hi] = x[lo:hi] @ g[s].T
+        gx[lo:hi] = a[lo:hi] @ g[s]
+    return data, ga, gx
+
+
+def _assert_bits_equal(got, want):
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestBitPreservingKernels:
+    """segment_matmul, segment_sum and the gather backward keep the bits of
+    the loops they replaced."""
+
+    LENGTHS = {"ragged": [0, 1, 3, 1, 0, 5, 3, 8, 2, 1, 40, 3, 0],
+               "equal": [6] * 9}
+
+    @pytest.mark.parametrize("lengths", LENGTHS.values(), ids=LENGTHS.keys())
+    @pytest.mark.parametrize("k, d", [(3, 4), (8, 128), (20, 300)])
+    def test_segment_matmul_is_bitwise_the_segment_loop(self, k, d, lengths):
+        rng = np.random.default_rng(k)
+        offsets = np.cumsum([0] + lengths)
+        n = offsets[-1]
+        # NetVLAD's assignment columns: a column slice of a wider matrix
+        a = ad.parameter(rng.standard_normal((n, k + 2)))[:, :k]
+        x = ad.parameter(rng.standard_normal((n, d)))
+        g = rng.standard_normal((len(lengths), k, d))
+        out = ad.segment_matmul(a, x, offsets)
+        ga, gx = out._backward(g)
+        want = _segment_matmul_loop(a.data, x.data, offsets, g)
+        for got, ref in zip((out.data, ga, gx), want):
+            _assert_bits_equal(got, ref)
+
+    @pytest.mark.parametrize("lengths", LENGTHS.values(), ids=LENGTHS.keys())
+    @pytest.mark.parametrize("tail", [(), (1,), (3,)])
+    def test_segment_sum_is_bitwise_the_step_loop(self, tail, lengths):
+        """Row t of every segment added at step t, starting from zeros."""
+        rng = np.random.default_rng(len(tail))
+        lengths = np.array(lengths)
+        offsets = np.cumsum(np.r_[0, lengths])
+        a = rng.standard_normal((offsets[-1],) + tail)
+        a *= 10.0 ** rng.integers(-8, 8, size=a.shape)
+        a[rng.random(a.shape) < 0.3] = -0.0
+        want = np.zeros((lengths.size,) + tail)
+        for step in range(lengths.max()):
+            live = lengths > step
+            want[live] += a[offsets[:-1][live] + step]
+        _assert_bits_equal(ad.segment_sum(a, offsets).data, want)
+
+    @pytest.mark.parametrize("tail", [(), (1,), (3,), (4, 5)])
+    @pytest.mark.parametrize("index", [
+        [0, 2, 2, 4, -1, 2, -5, 2, 0],          # duplicates, negatives
+        [[1, -2, 1], [3, 1, 0]],                  # a 2-D index array
+        [0] * 40 + [1, 2, 3, 4],                  # one row hit 40 times
+        [4, 3, 2, 1, 0],                          # a permutation
+    ], ids=["dups", "2d", "heavy", "perm"])
+    def test_gather_backward_is_bitwise_add_at(self, index, tail):
+        rng = np.random.default_rng(len(index))
+        index = np.asarray(index, dtype=np.intp)
+        a = _leaf(rng, 5, *tail)
+        g = rng.standard_normal(index.shape + tail)
+        g *= 10.0 ** rng.integers(-8, 8, size=g.shape)
+        g[rng.random(g.shape) < 0.3] = -0.0
+        want = np.zeros(a.shape)
+        np.add.at(want, index, g)
+        (got,) = ad.take_rows(a, index)._backward(g)
+        _assert_bits_equal(got, want)
+
+    @pytest.mark.parametrize("key", [
+        slice(1, 4), (slice(None), slice(0, 2)), 3, (slice(None, None, 2), 1),
+    ], ids=["rows", "columns", "int", "strided"])
+    def test_slice_backward_is_bitwise_add_at(self, key):
+        rng = np.random.default_rng(5)
+        a = _leaf(rng, 5, 3)
+        g = rng.standard_normal(a.data[key].shape)
+        g[rng.random(g.shape) < 0.3] = -0.0
+        want = np.zeros(a.shape)
+        np.add.at(want, key, g)
+        (got,) = a[key]._backward(g)
+        _assert_bits_equal(got, want)
+
+
+class TestScoreTiles:
+    """pairwise_inner's tiled forward pass: an entry's bits depend on its
+    own text and audio rows only."""
+
+    SIZES = (1, 31, 32, 33, 64, 65)
+
+    @pytest.mark.parametrize("dim", [7, 64])
+    def test_rows_and_columns_ignore_batch_sizes(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((65, 3, dim))
+        b = rng.standard_normal((65, 3, dim))
+        full = ad.pairwise_inner(a, b).data
+        np.testing.assert_allclose(
+            full, np.einsum("ied,jed->ije", a, b), rtol=0, atol=1e-12)
+        for rows in self.SIZES:
+            for cols in self.SIZES:
+                got = ad.pairwise_inner(a[:rows], b[:cols]).data
+                np.testing.assert_array_equal(got, full[:rows, :cols])
+
+    def test_subset_and_shuffled_pool_permute_columns(self):
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((40, 2, 16))
+        b = rng.standard_normal((70, 2, 16))
+        full = ad.pairwise_inner(a, b, ad.score_tiles(b)).data
+        for cols in (rng.permutation(70), rng.choice(70, 33, replace=False),
+                     rng.choice(70, 5, replace=False)):
+            rows = rng.permutation(40)[:int(rng.integers(2, 40))]
+            pool = b[cols]
+            for tiles in (None, ad.score_tiles(pool)):
+                got = ad.pairwise_inner(a[rows], pool, tiles).data
+                np.testing.assert_array_equal(got, full[rows][:, cols])
+
+    def test_batch_of_one_inside_rowwise_is_the_einsum(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((1, 3, 24))
+        b = rng.standard_normal((50, 3, 24))
+        with ad.rowwise():
+            got = ad.pairwise_inner(a, b).data
+        np.testing.assert_array_equal(
+            got, np.einsum("ied,jed->ije", a, b, optimize=False))
+
+
+_TILE_DIGEST = """
+import hashlib, sys
+import numpy as np
+from audioret import autodiff as ad
+dim = int(sys.argv[1])
+rng = np.random.default_rng(dim)
+a, b = rng.standard_normal((40, 2, dim)), rng.standard_normal((70, 2, dim))
+print(hashlib.sha256(ad.pairwise_inner(a, b).data.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("dim", [64, 512])
+def test_score_tiles_ignore_blas_thread_count(dim):
+    """The 32 x 32 score tile gives the same bits with one BLAS thread and
+    with two."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        result = subprocess.run([sys.executable, "-c", _TILE_DIGEST, str(dim)],
+                                env=env, capture_output=True, text=True,
+                                timeout=120)
+        assert result.returncode == 0, result.stderr[-2000:]
+        digests.append(result.stdout.strip())
+    assert digests[0] == digests[1]
+
 
 class TestEngine:
     def test_grad_accumulates_over_reuse(self):
