@@ -262,24 +262,22 @@ def pairwise_inner(a, b, b_tiles: np.ndarray | None = None) -> Tensor:
     b in GEMMs of exactly SCORE_TILE x SCORE_TILE entries, both operands
     zero-padded to whole tiles, so an entry's bits never depend on Bt, Ba,
     its position or its batchmates. `b_tiles` is score_tiles(b.data), when
-    the caller keeps it. Inside `rowwise()` the forward pass is one
-    unoptimized einsum instead, which costs a single row one pass over b.
+    the caller keeps it.
     """
     a, b = as_tensor(a), as_tensor(b)
-    if _ROWWISE:
-        data = np.einsum("ied,jed->ije", a.data, b.data, optimize=False)
-    else:
-        a_tiles = _tile_rows(a.data)
-        if b_tiles is None:
-            b_tiles = score_tiles(b.data)
-        rows, cols = a_tiles.shape[1], b_tiles.shape[1]
-        # E x row tiles x column tiles x SCORE_TILE x SCORE_TILE, a GEMM each
-        blocks = a_tiles[:, :, None] @ b_tiles[:, None]
-        out = np.empty((rows, SCORE_TILE, cols, SCORE_TILE, len(blocks)))
-        for e, block in enumerate(blocks):
-            out[..., e] = block.transpose(0, 2, 1, 3)
-        data = out.reshape(rows * SCORE_TILE, cols * SCORE_TILE, -1)[
-            :a.shape[0], :b.shape[0]]
+    a_tiles = _tile_rows(a.data)
+    if b_tiles is None:
+        b_tiles = score_tiles(b.data)
+    rows, cols = a_tiles.shape[1], b_tiles.shape[1]
+    # E x row tiles x column tiles x SCORE_TILE x SCORE_TILE, a GEMM each
+    blocks = a_tiles[:, :, None] @ b_tiles[:, None]
+    # one copy per expert: a single 5-D transpose copy of the same bits
+    # runs 1.3-3.7x slower
+    out = np.empty((rows, SCORE_TILE, cols, SCORE_TILE, len(blocks)))
+    for e, block in enumerate(blocks):
+        out[..., e] = block.transpose(0, 2, 1, 3)
+    data = out.reshape(rows * SCORE_TILE, cols * SCORE_TILE, -1)[
+        :a.shape[0], :b.shape[0]]
 
     def backward(g):
         per_expert = g.transpose(2, 0, 1)  # E x Bt x Ba
@@ -401,33 +399,27 @@ def segment_matmul(a, x, offsets) -> Tensor:
     return _make(data, (a, x), backward)
 
 
-def _run_sums(rows: np.ndarray, offsets) -> np.ndarray:
-    """The sum of rows[offsets[i]:offsets[i + 1]] for each i, added in row
-    order to zero: bitwise ((0 + r0) + r1) + ..., zero for an empty run.
-    The runs of one length are summed together, one addition per row."""
-    out = np.zeros((len(offsets) - 1,) + rows.shape[1:])
-    for segments, members in _length_groups(offsets):
-        hits = _take(rows, members).swapaxes(0, 1)  # row of the run x run x ...
-        total = hits[0] + 0.0
-        for hit in hits[1:]:
-            total += hit
-        out[segments] = total
-    return out
-
-
 def segment_sum(a, offsets) -> Tensor:
     """Sum the rows of each segment offsets[i]:offsets[i + 1], in row order.
 
-    A segment's sum depends on its own rows only; an empty segment sums to
-    zero.
+    A segment's sum is ((0 + r0) + r1) + ... over its own rows only; an
+    empty segment sums to zero. The segments of one length are summed
+    together, one addition per row.
     """
     a = as_tensor(a)
     lengths = np.diff(np.asarray(offsets, dtype=np.intp))
+    data = np.zeros((lengths.size,) + a.shape[1:])
+    for segments, rows in _length_groups(offsets):
+        hits = _take(a.data, rows).swapaxes(0, 1)  # step x segment x ...
+        total = hits[0] + 0.0
+        for hit in hits[1:]:
+            total += hit
+        data[segments] = total
 
     def backward(g):
         return (np.repeat(g, lengths, axis=0),)
 
-    return _make(_run_sums(a.data, offsets), (a,), backward)
+    return _make(data, (a,), backward)
 
 
 def segment_attention(q, k, v, offsets, heads: int,
@@ -502,37 +494,19 @@ def transpose(a) -> Tensor:
     return _make(a.data.T, (a,), backward)
 
 
-def _scatter_rows(index: np.ndarray, g: np.ndarray, shape) -> np.ndarray:
-    """np.add.at(np.zeros(shape), index, g) for an integer index array into
-    axis 0, with the same bits: a stable sort puts each row's contributions
-    next to each other in index order, and _run_sums adds them to zero."""
-    flat = index.reshape(-1)
-    flat = np.where(flat < 0, flat + shape[0], flat)
-    order = np.argsort(flat, kind="stable")
-    ordered = flat[order]
-    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-    contributions = g.reshape((flat.size,) + tuple(shape[1:]))[order]
-    out = np.zeros(shape)
-    out[ordered[starts]] = _run_sums(contributions, np.append(starts, flat.size))
-    return out
-
-
 _BASIC_KEYS = (slice, int, np.integer, type(None), type(Ellipsis))
 
 
 def getitem(a, key) -> Tensor:
     """Slice or fancy-index; backward scatter-adds into the source.
 
-    The backward pass of an integer index array is _scatter_rows, bitwise
-    np.add.at with duplicate and negative indices. A basic index (slices,
-    integers) reaches each element once, so it adds g in one step; any
-    other key goes through np.add.at."""
+    A basic index (slices, integers) reaches each element once, so the
+    backward pass adds g in one step; any other key goes through np.add.at.
+    """
     a = as_tensor(a)
     data = a.data[key]
 
     def backward(g):
-        if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
-            return (_scatter_rows(key, g, a.shape),)
         out = np.zeros(a.shape)
         parts = key if isinstance(key, tuple) else (key,)
         if all(isinstance(part, _BASIC_KEYS) for part in parts):

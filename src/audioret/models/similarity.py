@@ -43,12 +43,10 @@ class SimilarityMatrix:
 
 
 def combine_scores(text: TextBatch, audio: AudioBatch) -> ad.Tensor:
-    """Bt x Ba tensor of pairwise scores from two encoded batches. A batch
-    of one caption runs its cosines row by row, as its encoder did."""
+    """Bt x Ba tensor of pairwise scores from two encoded batches."""
+    cosines = ad.pairwise_inner(ad.row_normalize(text.vectors), audio.unit,
+                                audio.unit_tiles)  # Bt x Ba x E
     rows, experts = text.weights.shape
-    with ad.rowwise(rows == 1):
-        cosines = ad.pairwise_inner(ad.row_normalize(text.vectors), audio.unit,
-                                    None if rows == 1 else audio.unit_tiles)
     mass = ad.mul(ad.reshape(text.weights, (rows, 1, experts)),
                   audio.present[None].astype(np.float64))
     return ad.div(ad.tsum(ad.mul(mass, cosines), axis=2), ad.tsum(mass, axis=2))

@@ -377,7 +377,7 @@ def _assert_bits_equal(got, want):
 
 class TestBitPreservingKernels:
     """segment_matmul, segment_sum and the gather backward keep the bits of
-    the loops they replaced."""
+    the code they replaced."""
 
     LENGTHS = {"ragged": [0, 1, 3, 1, 0, 5, 3, 8, 2, 1, 40, 3, 0],
                "equal": [6] * 9}
@@ -478,15 +478,6 @@ class TestScoreTiles:
             for tiles in (None, ad.score_tiles(pool)):
                 got = ad.pairwise_inner(a[rows], pool, tiles).data
                 np.testing.assert_array_equal(got, full[rows][:, cols])
-
-    def test_batch_of_one_inside_rowwise_is_the_einsum(self):
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((1, 3, 24))
-        b = rng.standard_normal((50, 3, 24))
-        with ad.rowwise():
-            got = ad.pairwise_inner(a, b).data
-        np.testing.assert_array_equal(
-            got, np.einsum("ied,jed->ije", a, b, optimize=False))
 
 
 _TILE_DIGEST = """
