@@ -524,6 +524,20 @@ def take_rows(a, indices) -> Tensor:
     return getitem(as_tensor(a), indices)
 
 
+def place_rows(rows, index, shape) -> Tensor:
+    """Zeros of `shape` with `rows` written at the fancy index `index`,
+    which must name each position once. The backward pass gathers each
+    row's gradient back, + 0.0 giving np.add.at's bits for -0.0."""
+    rows = as_tensor(rows)
+    data = np.zeros(shape)
+    data[index] = rows.data
+
+    def backward(g):
+        return (g[index] + 0.0,)
+
+    return _make(data, (rows,), backward)
+
+
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     parts = [as_tensor(t) for t in tensors]
     data = np.concatenate([p.data for p in parts], axis=axis)
@@ -681,11 +695,12 @@ EPS = 1e-12
 
 
 def row_normalize(a, eps: float = EPS) -> Tensor:
-    """Normalize every vector along the last axis to unit length
-    (eps-guarded)."""
+    """Normalize every vector along the last axis to unit length.
+
+    The squared norm is floored at eps**2 under the root, so a zero row
+    comes out as a / eps with a finite gradient."""
     a = as_tensor(a)
-    norms = sqrt(tsum(square(a), axis=-1, keepdims=True))
-    return div(a, clip_min(norms, eps))
+    return div(a, sqrt(clip_min(tsum(square(a), axis=-1, keepdims=True), eps * eps)))
 
 
 def dot(a, b) -> Tensor:

@@ -10,7 +10,6 @@ so an archive alone is enough to rebuild and requery the model.
 from __future__ import annotations
 
 import json
-import struct
 import zipfile
 from dataclasses import asdict
 from pathlib import Path
@@ -18,29 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .evaluation import report_from_dict, report_to_dict
-from .experts import MAGIC
+from .experts import decode_matrix, encode_matrix
 from .training import Checkpoint, TrainConfig
 
 FORMAT = "audioret-checkpoint"
 VERSION = 1
-
-
-def _encode_matrix(array: np.ndarray) -> bytes:
-    flat = np.ascontiguousarray(array, dtype="<f4")
-    flat = flat.reshape(1, -1) if flat.ndim < 2 else flat.reshape(flat.shape[0], -1)
-    return MAGIC + struct.pack("<II", *flat.shape) + flat.tobytes()
-
-
-def _decode_matrix(blob: bytes, shape: tuple[int, ...]) -> np.ndarray:
-    if blob[:6] != MAGIC:
-        raise ValueError("bad magic in checkpoint tensor")
-    rows, cols = struct.unpack("<II", blob[6:14])
-    if len(blob) != 14 + rows * cols * 4:
-        raise ValueError("truncated checkpoint tensor")
-    values = np.frombuffer(blob[14:], dtype="<f4").astype(np.float64)
-    if values.size != int(np.prod(shape)):
-        raise ValueError("checkpoint tensor does not match manifest shape")
-    return values.reshape(shape)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: Path | str) -> Path:
@@ -65,7 +46,9 @@ def save_checkpoint(ckpt: Checkpoint, path: Path | str) -> Path:
         archive.writestr("manifest.json", json.dumps(manifest, indent=1,
                                                      sort_keys=True))
         for name, arr in sorted(ckpt.params.items()):
-            archive.writestr(f"params/{name}.mat", _encode_matrix(arr))
+            rows = arr.shape[0] if arr.ndim > 1 else 1  # a vector is 1 x N
+            archive.writestr(f"params/{name}.mat",
+                             encode_matrix(np.reshape(arr, (rows, -1))))
     tmp.replace(path)
     return path
 
@@ -89,7 +72,11 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
             member = f"params/{name}.mat"
             if member not in names:
                 raise ValueError(f"checkpoint tensor missing: {name}")
-            params[name] = _decode_matrix(archive.read(member), tuple(shape))
+            values = decode_matrix(archive.read(member),
+                                   f"checkpoint tensor {name}").astype(np.float64)
+            if values.size != int(np.prod(shape)):
+                raise ValueError("checkpoint tensor does not match manifest shape")
+            params[name] = values.reshape(shape)
     cfg_dict = manifest["train_config"]
     cfg_dict.pop("checkpoint_every", None)  # unused key of older archives
     cfg_dict["frame_caps"] = {k: int(v)

@@ -104,33 +104,6 @@ def gather_streams(experts: tuple[str, ...], batch: list
     return present, rows
 
 
-def expert_rows(experts: tuple[str, ...], outputs: dict[str, ad.Tensor],
-                present: np.ndarray) -> tuple[ad.Tensor, np.ndarray]:
-    """One zero row followed by every expert's output rows, and the B x E
-    index of each (item, expert) row in it (0 where the expert is absent).
-
-    outputs[e] holds one row per item that has expert e, in batch order.
-    """
-    width = next(iter(outputs.values())).shape[-1]
-    index = np.zeros(present.shape, dtype=np.intp)
-    parts: list = [np.zeros((1, width))]
-    cursor = 1
-    for i, expert in enumerate(experts):
-        if expert in outputs:
-            count = int(present[:, i].sum())
-            index[present[:, i], i] = cursor + np.arange(count)
-            parts.append(outputs[expert])
-            cursor += count
-    return ad.concat(parts, axis=0), index
-
-
-def expert_tensor(experts: tuple[str, ...], outputs: dict[str, ad.Tensor],
-                  present: np.ndarray) -> ad.Tensor:
-    """B x E x D tensor of per-expert output rows, zero where absent."""
-    source, index = expert_rows(experts, outputs, present)
-    return ad.take_rows(source, index)
-
-
 def uniform_init(rng: np.random.Generator, shape: tuple[int, ...],
                  fan_in: int) -> np.ndarray:
     """Symmetric uniform draw scaled by 1/sqrt(fan_in)."""

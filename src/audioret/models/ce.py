@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import autodiff as ad
-from .blocks import Linear, collect, expert_rows
+from .blocks import Linear, collect
 from .moee import MoeeConfig, MoeeModel
 
 
@@ -50,9 +50,11 @@ class CeModel(MoeeModel):
         if not expert_vectors:
             raise ValueError("no expert vectors to gate")
         experts = self.cfg.experts
-        source, index = expert_rows(
-            experts, {e: self.gate_in[e](v) for e, v in expert_vectors.items()},
-            present)
+        source = ad.concat([self.gate_in[e](expert_vectors[e])
+                            for e in experts if e in expert_vectors])
+        # index[b, e]: source row of (item b, expert e); rows run expert-major
+        index = np.zeros(present.shape, dtype=np.intp)
+        index.T[present.T] = np.arange(np.count_nonzero(present))
         # (expert, item, partner) triples in that order of priority: every
         # present partner, a lone expert paired with itself
         lone = present.sum(axis=1) == 1

@@ -162,10 +162,9 @@ class MmtModel:
         kept = np.cumsum([0] + present.sum(axis=1).tolist())  # kept-row offsets
         x = (self.blocks[-1](x, offsets, attn_sink, (agg_rows, kept))
              if self.blocks else ad.take_rows(x, agg_rows))
-        index = np.zeros(present.shape, dtype=np.intp)
-        index[present] = 1 + np.arange(len(agg_rows))
-        padded = ad.concat([np.zeros((1, self.cfg.model_dim)), x], axis=0)
-        return AudioBatch(ad.take_rows(padded, index), present)
+        vectors = ad.place_rows(x, np.nonzero(present),
+                                present.shape + (self.cfg.model_dim,))
+        return AudioBatch(vectors, present)
 
     # -- text side -----------------------------------------------------
 

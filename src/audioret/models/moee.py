@@ -16,8 +16,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..experts import TextEmbedding
 from .blocks import (AudioBatch, GatedUnit, Linear, NetVlad, check_experts,
-                     collect, config_dict, expert_tensor, gather_streams,
-                     text_batch)
+                     collect, config_dict, gather_streams, text_batch)
 
 
 @dataclass
@@ -76,8 +75,11 @@ class MoeeModel:
             pooled = {e: self.audio_vlad[e](rows[e]) for e in experts if rows[e]}
             if gate is not None:
                 pooled = gate(pooled, present)
-            outputs = {e: self.audio_units[e](v) for e, v in pooled.items()}
-        return AudioBatch(expert_tensor(experts, outputs, present), present)
+            outputs = [self.audio_units[e](pooled[e]) for e in experts if e in pooled]
+        # the outputs stack (expert, item) rows in expert-major order
+        vectors = ad.place_rows(ad.concat(outputs), np.nonzero(present.T)[::-1],
+                                present.shape + (self.cfg.joint_dim,))
+        return AudioBatch(vectors, present)
 
     # -- parameters ----------------------------------------------------
 

@@ -235,8 +235,7 @@ def stage_split(corpus: Corpus, split: str, store, text_source,
              for c in captions}
     clips = {}
     for sid in corpus.split_ids(split):
-        clips[sid] = gather_clip(store, sid, experts, cfg.frame_caps or None,
-                                 required=True)
+        clips[sid] = gather_clip(store, sid, experts, cfg.frame_caps or None)
     pairs = [(c.caption_id, c.sample_id) for c in captions]
     return pairs, texts, clips
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,34 @@ class TestPrimitives:
                 + ad.tsum(ad.row_normalize(u + v))
 
         check_gradients(build, {"u": u, "v": v, "m": m})
+
+    def test_zero_row_normalizes_with_a_finite_gradient(self):
+        """A zero row comes out as a / eps, and its gradient is g / eps, with
+        no invalid-value warning on the way."""
+        rng = np.random.default_rng(0)
+        a = ad.parameter(np.zeros((2, 5)))
+        a.data[1] = rng.standard_normal(5)
+        g = rng.standard_normal((2, 5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.row_normalize(a)
+            ad.tsum(ad.mul(out, g)).backward()
+        _assert_bits_equal(out.data[0], np.zeros(5))
+        _assert_bits_equal(a.grad[0], g[0] / ad.EPS)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_place_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        present = rng.random((5, 3)) < 0.5
+        present[:, 0] = True
+        rows = _leaf(rng, int(present.sum()), 4)
+        w = rng.standard_normal(present.shape + (4,))
+
+        def build():
+            out = ad.place_rows(rows, np.nonzero(present), present.shape + (4,))
+            return ad.tsum(ad.sigmoid(ad.mul(out, w)))
+
+        check_gradients(build, {"rows": rows})
 
     @pytest.mark.parametrize("seed", range(5))
     def test_pairwise_inner(self, seed):
@@ -376,8 +405,8 @@ def _assert_bits_equal(got, want):
 
 
 class TestBitPreservingKernels:
-    """segment_matmul, segment_sum and the gather backward keep the bits of
-    the code they replaced."""
+    """segment_matmul, segment_sum, place_rows and the gather backward keep
+    the bits of the code they replaced."""
 
     LENGTHS = {"ragged": [0, 1, 3, 1, 0, 5, 3, 8, 2, 1, 40, 3, 0],
                "equal": [6] * 9}
@@ -432,6 +461,30 @@ class TestBitPreservingKernels:
         np.add.at(want, index, g)
         (got,) = ad.take_rows(a, index)._backward(g)
         _assert_bits_equal(got, want)
+
+    @pytest.mark.parametrize("tail", [(1,), (3,)])
+    @pytest.mark.parametrize("expert_major", [True, False])
+    def test_place_rows_is_bitwise_the_zero_row_gather(self, expert_major, tail):
+        """Values and gradient of concat([zero row, rows]) + take_rows, the
+        composition place_rows replaced, in either row order."""
+        rng = np.random.default_rng(len(tail))
+        present = rng.random((9, 3)) < 0.6
+        present[0] = True
+        index = np.nonzero(present.T)[::-1] if expert_major else np.nonzero(present)
+        rows = _leaf(rng, int(present.sum()), *tail)
+        g = rng.standard_normal(present.shape + tail)
+        g *= 10.0 ** rng.integers(-8, 8, size=g.shape)
+        g[rng.random(g.shape) < 0.3] = -0.0
+        gather = np.zeros(present.shape, dtype=np.intp)
+        gather[index] = 1 + np.arange(rows.shape[0])
+        grads = []
+        for out in (ad.take_rows(ad.concat([np.zeros((1,) + tail), rows]), gather),
+                    ad.place_rows(rows, index, present.shape + tail)):
+            ad.tsum(ad.mul(out, g)).backward()
+            grads.append((out.data, rows.grad))
+            rows.grad = None
+        for got, want in zip(grads[1], grads[0]):
+            _assert_bits_equal(got, want)
 
     @pytest.mark.parametrize("key", [
         slice(1, 4), (slice(None), slice(0, 2)), 3, (slice(None, None, 2), 1),

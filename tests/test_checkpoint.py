@@ -1,6 +1,7 @@
 """Checkpoint archive format: round-trips and corruption handling."""
 
 import json
+import struct
 import zipfile
 
 import numpy as np
@@ -41,6 +42,18 @@ class TestRoundTrip:
             assert back.params[name].shape == arr.shape
             np.testing.assert_array_equal(
                 back.params[name], arr.astype("<f4").astype(np.float64))
+
+    def test_members_are_store_matrices(self, trained, tmp_path):
+        """Each tensor is a store matrix: a vector 1 x N, any other rank its
+        leading axis by the rest, float32 little-endian."""
+        _, ckpt = trained
+        path = save_checkpoint(ckpt, tmp_path / "m.ckpt")
+        with zipfile.ZipFile(path) as archive:
+            for name, arr in ckpt.params.items():
+                rows = arr.shape[0] if arr.ndim > 1 else 1
+                want = (b"XFEAT1" + struct.pack("<II", rows, arr.size // rows)
+                        + arr.astype("<f4").tobytes())
+                assert archive.read(f"params/{name}.mat") == want, name
 
     def test_rebuilt_model_scores_like_original(self, trained, tmp_path):
         bench, ckpt = trained
@@ -158,6 +171,20 @@ class TestCorruption:
                 if name != f"params/{victim}.mat":
                     copy.writestr(name, archive.read(name))
         with pytest.raises(ValueError, match="missing"):
+            load_checkpoint(out)
+
+    def test_bad_magic_names_tensor(self, trained, tmp_path):
+        path, ckpt = self._saved(trained, tmp_path)
+        victim = sorted(ckpt.params)[0]
+        out = tmp_path / "garbled.ckpt"
+        with zipfile.ZipFile(path) as archive, \
+                zipfile.ZipFile(out, "w") as copy:
+            for name in archive.namelist():
+                blob = archive.read(name)
+                if name == f"params/{victim}.mat":
+                    blob = b"NOTFMT" + blob[6:]
+                copy.writestr(name, blob)
+        with pytest.raises(ValueError, match=f"bad magic in checkpoint tensor {victim}"):
             load_checkpoint(out)
 
     def test_shape_mismatch_rejected(self, trained, tmp_path):

@@ -38,6 +38,14 @@ class TestMatrixFormat:
         with pytest.raises(ValueError, match="magic"):
             ex.read_matrix(path)
 
+    def test_decode_names_its_source(self):
+        blob = ex.encode_matrix(np.ones((2, 3)))
+        np.testing.assert_array_equal(ex.decode_matrix(blob, "x"), np.ones((2, 3)))
+        with pytest.raises(ValueError, match="truncated matrix in blob 7"):
+            ex.decode_matrix(blob[:-1], "blob 7")
+        with pytest.raises(ValueError, match="only 2-D"):
+            ex.encode_matrix(np.ones(3))
+
     def test_rejects_truncation(self, tmp_path):
         path = tmp_path / "t.mat"
         ex.write_matrix(path, np.zeros((4, 3), dtype=np.float32))
@@ -66,6 +74,13 @@ class TestFeatureStore:
         root.mkdir()
         (root / "index.txt").write_text("VGGish\t256\t0\n")
         with pytest.raises(ValueError, match=r"dimension mismatch \(expected 128\)"):
+            ex.open_feature_store(root)
+
+    def test_non_integer_count_rejected(self, tmp_path):
+        root = tmp_path / "feat"
+        root.mkdir()
+        (root / "index.txt").write_text("VGGish\t128\tmany\n")
+        with pytest.raises(ValueError, match="many"):
             ex.open_feature_store(root)
 
     def test_unknown_sample_errors(self, tmp_path, registry):

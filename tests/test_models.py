@@ -1,5 +1,7 @@
 """Architecture behavior: blocks, scores, oracles, and invariances."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from audioret import autodiff as ad
 from audioret import models as md
 from audioret.experts import AudioClip, TextEmbedding
 from audioret.models.blocks import stream_rows
+from audioret.training import ranking_loss
 from helpers import (check_gradients, ref_ce_score, ref_gated_unit,
                      ref_mmt_encode, ref_mmt_score, ref_moee_score, ref_netvlad)
 
@@ -233,6 +236,21 @@ class TestMoee:
 
 
 class TestCe:
+    def test_gate_ignores_key_order(self):
+        """The gate reads its vectors in configured-expert order, whatever
+        the order of the dict's keys."""
+        rng = np.random.default_rng(2)
+        experts = ("p", "q", "r")
+        model = _ce(rng, experts=experts)
+        present = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1]], dtype=bool)
+        vectors = {e: rng.standard_normal((int(present[:, i].sum()),
+                                           model.audio_vlad[e].output_dim))
+                   for i, e in enumerate(experts)}
+        want = model.collaborative_gate(vectors, present)
+        got = model.collaborative_gate(dict(reversed(vectors.items())), present)
+        for e in experts:
+            np.testing.assert_array_equal(got[e].data, want[e].data)
+
     def test_mask_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(0)
         model = _ce(rng)
@@ -631,6 +649,22 @@ def test_mmt_encode_matches_full_sequence_reference(layers):
                 np.testing.assert_allclose(got, want[expert], rtol=0, atol=1e-12)
             else:
                 np.testing.assert_array_equal(got, np.zeros_like(got))
+
+
+def test_mmt_all_oov_caption_at_init_has_finite_gradients():
+    """At init the text units' biases are zero, so an all-OOV caption's
+    unit outputs are zero rows; no parameter gradient turns non-finite."""
+    rng = np.random.default_rng(990)
+    model = _mmt(rng)
+    texts = [_text(rng, dim=5, caption_id="c0"),
+             TextEmbedding("c1", np.zeros((1, 5)), np.zeros(1, dtype=bool))]
+    clips = [AudioClip(f"a{j}", s)
+             for j, s in enumerate(_mmt_batch_with_missing_expert(rng, model)[:2])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ranking_loss(md.batch_scores(model, texts, clips), 0.2).backward()
+    for name, param in model.named_parameters().items():
+        assert np.isfinite(param.grad).all(), name
 
 
 # -- stored configs ------------------------------------------------------
