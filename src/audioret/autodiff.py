@@ -13,6 +13,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from . import blas
+
 _GRAD_ENABLED = True
 _ROWWISE = False
 
@@ -32,18 +34,20 @@ def no_grad():
 @contextlib.contextmanager
 def rowwise(enabled: bool = True):
     """With `enabled`, stacked_matmul's forward pass inside the block
-    multiplies each row on its own, one single-threaded einsum per row,
-    instead of in zero-padded ROW_BLOCK-row GEMMs. A single item then
-    costs one pass over each weight rather than a whole block, and it
-    never waits on a second BLAS thread: on a shared host a threaded
-    product stalls whenever either core is busy. Its bits can differ from
-    a block's in the last place, so an encoder uses it for a whole batch
-    of one item and never for part of a batch."""
+    multiplies each row on its own, one BLAS GEMV per row, instead of in
+    zero-padded ROW_BLOCK-row GEMMs, and the block's BLAS calls run on one
+    pinned OpenBLAS thread (`blas.one_thread`). A single item then costs
+    one pass over each weight rather than a whole block, and it never
+    waits on a second BLAS thread: on a shared host a threaded product
+    stalls whenever either core is busy. Its bits can differ from a
+    block's in the last place, so an encoder uses it for a whole batch of
+    one item and never for part of a batch."""
     global _ROWWISE
     previous = _ROWWISE
     _ROWWISE = enabled
     try:
-        yield
+        with blas.one_thread() if enabled else contextlib.nullcontext():
+            yield
     finally:
         _ROWWISE = previous
 
@@ -302,11 +306,12 @@ def stacked_matmul(x, w, offsets=None, bias=None) -> Tensor:
     changes with its row count. With `offsets`, each row segment
     offsets[i]:offsets[i + 1] is instead one GEMM over its own rows, so a
     segment's result is bitwise that of the segment multiplied alone.
-    Inside `rowwise()` it is one einsum per row instead. A `bias` of N
-    values is added to the output in place, with the bits of a separate
-    add. The backward pass is one GEMM per operand, and w's gradient takes
-    w's memory layout: a transposed view of a row-major weight gets a
-    gradient whose transpose is row-major.
+    Inside `rowwise()` it is one GEMV per row instead: a row's result is
+    again independent of its batchmates, but agrees with a block's only to
+    rounding. A `bias` of N values is added to the output in place, with
+    the bits of a separate add. The backward pass is one GEMM per operand,
+    and w's gradient takes w's memory layout: a transposed view of a
+    row-major weight gets a gradient whose transpose is row-major.
     """
     x, w = as_tensor(x), as_tensor(w)
     if w.ndim != 2 or x.shape[-1] != w.shape[0]:
@@ -316,7 +321,7 @@ def stacked_matmul(x, w, offsets=None, bias=None) -> Tensor:
     out = np.empty((n, w.shape[1]))
     if _ROWWISE:
         for i in range(n):
-            np.einsum("k,kn->n", rows[i], w.data, optimize=False, out=out[i])
+            np.matmul(rows[i], w.data, out=out[i])
     elif offsets is not None:
         for lo, hi in _segment_bounds(offsets):
             np.matmul(rows[lo:hi], w.data, out=out[lo:hi])

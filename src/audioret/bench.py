@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import blas
 from . import models as md
 from . import training as tr
 from .corpus import DATASET_NAMES, CaptionRecord, Corpus, load_benchmark
@@ -39,7 +40,8 @@ DATA_ENV = "AUDIORET_DATA_ROOT"
 
 # Bumped whenever a change alters the floats training produces, so cached
 # run artifacts from earlier numerics are never served for a new run.
-NUMERICS_VERSION = 5
+# 6: a batch of one item multiplies its rows by GEMV, not einsum.
+NUMERICS_VERSION = 6
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
@@ -329,6 +331,7 @@ def run_single(cfg: ExperimentConfig, bundle: DataBundle, seed: int,
     payload = {
         "seed": seed,
         "numerics": NUMERICS_VERSION,
+        "blas": blas.describe(),
         "selection_score": ckpt.selection_score,
         "best_step": ckpt.best_step,
         "t2a": report_to_dict(reports["t2a"]),
@@ -513,6 +516,7 @@ class Searcher:
                  split: str = "test"):
         self.model = ckpt.rebuild()
         self.text_source = text_source
+        self.word_cap = ckpt.train_config.word_cap
         experts = tuple(self.model.cfg.experts)
         _, _, clips = tr.stage_split(corpus, split, store, text_source,
                                      experts, ckpt.train_config)
@@ -525,7 +529,10 @@ class Searcher:
             raise ValueError("empty query")
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
-        emb = self.text_source.tokens_for(CaptionRecord("query", "query", query))
+        # capped like every staged caption, so a pool caption scores as its
+        # row of the evaluated matrix
+        emb = tr.capped_text(self.text_source.tokens_for(
+            CaptionRecord("query", "query", query)), self.word_cap)
         with ad.no_grad():
             scores = combine_scores(self.model.encode_text([emb]), self.pool)
         values = np.clip(scores.data[0], -1.0, 1.0)

@@ -219,7 +219,8 @@ def select_best(history: list[tuple[int, MetricsReport]]) -> int:
 # data staging
 
 
-def _capped_text(emb: TextEmbedding, cap: int | None) -> TextEmbedding:
+def capped_text(emb: TextEmbedding, cap: int | None) -> TextEmbedding:
+    """The caption's first `cap` tokens; a `cap` of None keeps them all."""
     if cap is None or emb.token_matrix.shape[0] <= cap:
         return emb
     return TextEmbedding(emb.caption_id, emb.token_matrix[:cap], emb.mask[:cap])
@@ -231,7 +232,7 @@ def stage_split(corpus: Corpus, split: str, store, text_source,
     captions = corpus.captions_for_split(split)
     if not captions:
         raise ValueError(f"corpus has no captions in split {split!r}")
-    texts = {c.caption_id: _capped_text(text_source.tokens_for(c), cfg.word_cap)
+    texts = {c.caption_id: capped_text(text_source.tokens_for(c), cfg.word_cap)
              for c in captions}
     clips = {}
     for sid in corpus.split_ids(split):

@@ -13,6 +13,7 @@ import pytest
 
 import audioret.autodiff as ad
 import audioret.bench as bn
+import audioret.blas as blas
 import audioret.training as tr
 from audioret.checkpoint import save_checkpoint
 from audioret.cli import main as cli_main
@@ -371,8 +372,9 @@ def test_benchmark_row_and_artifacts(rig):
     payload = json.loads((run_path / "seed0.json").read_text())
     assert payload["seed"] == 0
     assert payload["numerics"] == bn.NUMERICS_VERSION
-    assert set(payload) == {"seed", "numerics", "selection_score", "best_step",
-                            "t2a", "a2t", "log"}
+    assert set(payload) == {"seed", "numerics", "blas", "selection_score",
+                            "best_step", "t2a", "a2t", "log"}
+    assert payload["blas"] == blas.describe()
     assert (run_path / "table.txt").read_text() == table.to_text()
     assert (run_path / "table.csv").read_text() == table.to_csv()
 
@@ -399,6 +401,21 @@ def test_benchmark_table_is_built_from_stored_artifacts(rig, bundle, tmp_path):
     seed1 = json.loads((tmp_path / cfg.run_key() / "seed1.json").read_text())
     expected = (7.0 + seed1["t2a"]["R@1"]) / 2.0
     assert table.cell_mean("synthetic/moee", "t2a", "R@1") == pytest.approx(expected)
+
+
+def test_table_from_artifacts_without_blas_is_unchanged(rig, bundle, tmp_path):
+    """Artifacts written before the BLAS was recorded still load, and give
+    the same table bytes."""
+    cfg, table = rig
+    moved = replace(cfg, out_dir=str(tmp_path))
+    shutil.copytree(Path(cfg.out_dir) / cfg.run_key(), tmp_path / cfg.run_key())
+    for artifact in (tmp_path / cfg.run_key()).glob("seed*.json"):
+        payload = json.loads(artifact.read_text())
+        del payload["blas"]
+        artifact.write_text(json.dumps(payload, indent=1, sort_keys=True))
+    again = bn.run_benchmark(moved, data=bundle)
+    assert again.to_text() == table.to_text()
+    assert again.to_csv() == table.to_csv()
 
 
 def test_benchmark_single_seed_row_is_plain_report(bundle, tmp_path, rig):
@@ -605,6 +622,35 @@ def test_search_scores_match_similarity_matrix(frozen_ckpt, bundle):
     by_id = dict(searcher.search(caption.text, top_k=len(pool)))
     for j, sid in enumerate(pool):
         assert by_id[sid] == sim.values[0, j]
+
+
+def test_search_caps_the_query_at_the_checkpoint_word_cap(frozen_ckpt, bundle):
+    """A caption longer than the training word cap is searched capped, as
+    staging caps it, so its scores are its row of the evaluated matrix."""
+    ckpt = replace(frozen_ckpt,
+                   train_config=replace(frozen_ckpt.train_config, word_cap=4))
+    searcher = bn.Searcher(ckpt, bundle.corpus, bundle.store,
+                           bundle.text_source)
+    _, texts, clips = tr.stage_split(bundle.corpus, "test", bundle.store,
+                                     bundle.text_source, ("ea", "eb"),
+                                     ckpt.train_config)
+    pool = sorted(clips)
+    sim = similarity_matrix(ckpt.rebuild(), list(texts.values()),
+                            [clips[sid] for sid in pool])
+    caption = next(c for c in bundle.corpus.captions_for_split("test")
+                   if len(c.text.split()) > 6)
+    by_id = dict(searcher.search(caption.text, top_k=len(pool)))
+    np.testing.assert_allclose([by_id[sid] for sid in pool],
+                               sim.values[list(texts).index(caption.caption_id)],
+                               rtol=0, atol=1e-12)
+
+
+def test_search_leaves_the_blas_thread_count(frozen_ckpt, bundle):
+    searcher = bn.Searcher(frozen_ckpt, bundle.corpus, bundle.store,
+                           bundle.text_source)
+    before = blas.describe()
+    searcher.search("w001 w005 w009", top_k=3)
+    assert blas.describe() == before
 
 
 def test_search_normalizes_the_pool_once(frozen_ckpt, bundle, monkeypatch):
