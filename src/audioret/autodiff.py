@@ -162,8 +162,9 @@ def as_tensor(value) -> Tensor:
 
 
 def parameter(data) -> Tensor:
-    """Wrap `data` as a trainable leaf (copies, requires_grad=True)."""
-    return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
+    """Wrap `data` as a trainable leaf (requires_grad=True). A float64
+    array is adopted, not copied: an optimizer updates it in place."""
+    return Tensor(data, requires_grad=True)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

@@ -41,7 +41,8 @@ DATA_ENV = "AUDIORET_DATA_ROOT"
 # Bumped whenever a change alters the floats training produces, so cached
 # run artifacts from earlier numerics are never served for a new run.
 # 6: a batch of one item multiplies its rows by GEMV, not einsum.
-NUMERICS_VERSION = 6
+# 7: validation encodes every chunk on one pinned BLAS thread.
+NUMERICS_VERSION = 7
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
@@ -517,9 +518,8 @@ class Searcher:
         self.model = ckpt.rebuild()
         self.text_source = text_source
         self.word_cap = ckpt.train_config.word_cap
-        experts = tuple(self.model.cfg.experts)
-        _, _, clips = tr.stage_split(corpus, split, store, text_source,
-                                     experts, ckpt.train_config)
+        clips = tr.stage_clips(corpus, split, store,
+                               tuple(self.model.cfg.experts), ckpt.train_config)
         self.pool_ids = sorted(clips)
         self._ids = np.asarray(self.pool_ids)
         self.pool = encode_clips(self.model, [clips[sid] for sid in self.pool_ids])

@@ -4,7 +4,8 @@ numpy's wheels link scipy-openblas, which exports
 `scipy_openblas_{get,set}_num_threads64_`. The library is reached through
 numpy's own extension module with ctypes on first use, never at import.
 Where numpy runs on another BLAS, or the symbols are missing,
-`one_thread()` does nothing and `describe()` names no library.
+`one_thread()` pins nothing and reports a count of 1, and `describe()`
+names no library.
 """
 
 from __future__ import annotations
@@ -41,13 +42,14 @@ def _openblas():
 
 @contextlib.contextmanager
 def one_thread():
-    """Run the block's BLAS calls on one OpenBLAS thread. The count in
-    force before the outermost entry is restored when it exits, also on an
+    """Run the block's BLAS calls on one OpenBLAS thread, and yield the
+    count in force before the outermost entry (1 without the library).
+    That count is restored when the outermost entry exits, also on an
     exception; nested and concurrent entries share that one pin."""
     global _depth, _saved
     api = _openblas()
     if api is None:
-        yield
+        yield 1
         return
     get, set_, _ = api
     with _lock:
@@ -55,13 +57,35 @@ def one_thread():
             _saved = get()
             set_(1)
         _depth += 1
+        threads = _saved
     try:
-        yield
+        yield threads
     finally:
         with _lock:
             _depth -= 1
             if _depth == 0:
                 set_(_saved)
+
+
+def run_pinned(tasks: list, workers: int) -> list:
+    """Call every task (a function of no arguments) on one pinned OpenBLAS
+    thread and return the results in task order.
+
+    The tasks run on up to `workers` threads; numpy releases the GIL
+    inside BLAS calls and ufunc loops, so the workers share the cores.
+    With one worker or one task they run in the caller, one after
+    another, and no thread starts. Each task's bits are those of a
+    one-thread run either way. Every task has finished when this returns
+    or raises; a failure is raised from the first task that failed, in
+    task order."""
+    with one_thread():
+        width = min(workers, len(tasks))
+        if width <= 1:
+            return [task() for task in tasks]
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(width) as pool:  # its exit waits for all
+            futures = [pool.submit(task) for task in tasks]
+        return [future.result() for future in futures]
 
 
 def describe() -> dict:

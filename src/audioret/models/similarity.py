@@ -8,20 +8,33 @@ of its batchmates, so chunked evaluation agrees exactly with one big batch.
 A batch of one item runs row by row (autodiff.rowwise): a search query
 agrees exactly with a one-caption matrix, and with a larger batch's row
 to rounding.
+
+Evaluation and search pools are encoded in chunks of at most ENCODE_CHUNK
+items, each on one pinned OpenBLAS thread (blas.run_pinned), so their bits
+do not depend on the BLAS thread count. A large model's chunks, at least
+one per BLAS thread, run on a thread pool as wide as that count; a small
+model's run in the caller.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import autodiff as ad
+from .. import blas
 from ..experts import AudioClip, TextEmbedding
 from .blocks import AudioBatch, TextBatch
 
 # items per encoder call when encoding an evaluation or search pool
 ENCODE_CHUNK = 32
+# a side's chunks go to the thread pool only when the model's largest
+# weight matrix has at least this many entries; below it each op is a few
+# microseconds of Python holding the GIL, and a pool only adds overhead
+# (crossover measured in CHANGES.md)
+POOL_MIN_WEIGHTS = 1 << 18
 
 
 @dataclass
@@ -62,20 +75,39 @@ def batch_scores(model, texts: list[TextEmbedding],
                           model.encode_audio([c.streams for c in clips]))
 
 
-def _chunks(count: int) -> list[slice]:
-    """Consecutive ENCODE_CHUNK-item slices; a one-item remainder joins
-    the slice before it, since a batch of one runs row by row."""
-    starts = list(range(0, count, ENCODE_CHUNK))
-    if len(starts) > 1 and count - starts[-1] == 1:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
+def _chunks(count: int, least: int = 1) -> list[slice]:
+    """Near-equal consecutive slices of at most ENCODE_CHUNK items, and at
+    least `least` of them as far as two items a slice allow: a batch of
+    one runs row by row, so no slice holds one item unless count is 1."""
+    pieces = max(-(-count // ENCODE_CHUNK), min(least, count // 2))
+    bounds = [count * i // pieces for i in range(pieces + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _encode_chunks(model, encode, items: list) -> list:
+    """encode(chunk) for each _chunks slice of items, in chunk order, each
+    on one pinned BLAS thread. A large model (POOL_MIN_WEIGHTS) splits the
+    items into at least one chunk per BLAS thread and runs them on that
+    many workers; an item's bits do not depend on its chunk. The caller
+    holds no_grad() around it, and this returns once every chunk is done."""
+    largest = max(p.data.size for p in model.named_parameters().values())
+    with blas.one_thread() as threads:
+        width = threads if largest >= POOL_MIN_WEIGHTS else 1
+        parts = _chunks(len(items), width)
+        # rowwise()'s flag is process-wide, so no chunk run on a worker may
+        # be a batch of one
+        assert len(parts) == 1 or all(p.stop - p.start > 1 for p in parts)
+        return blas.run_pinned([functools.partial(encode, items[p])
+                                for p in parts], width)
 
 
 def encode_clips(model, clips: list[AudioClip]) -> AudioBatch:
-    """Inference-mode encoding of a clip pool, ENCODE_CHUNK clips per call."""
+    """Inference-mode encoding of a clip pool, at most ENCODE_CHUNK clips
+    per call."""
     with ad.no_grad():
-        parts = [model.encode_audio([c.streams for c in clips[part]])
-                 for part in _chunks(len(clips))]
+        parts = _encode_chunks(
+            model, lambda chunk: model.encode_audio([c.streams for c in chunk]),
+            clips)
     return AudioBatch(ad.Tensor(np.concatenate([p.vectors.data for p in parts])),
                       np.concatenate([p.present for p in parts]))
 
@@ -88,9 +120,10 @@ def similarity_matrix(model, texts: list[TextEmbedding],
         raise ValueError("empty batch")
     audio = encode_clips(model, clips)
     with ad.no_grad():
-        rows = [combine_scores(model.encode_text(list(texts[part])), audio).data
-                for part in _chunks(len(texts))]
+        audio.unit_tiles  # once, before the text chunks share it
+        rows = _encode_chunks(
+            model, lambda chunk: combine_scores(model.encode_text(list(chunk)),
+                                                audio).data, texts)
     values = np.clip(np.concatenate(rows), -1.0, 1.0)
     return SimilarityMatrix(values, [t.caption_id for t in texts],
                             [c.sample_id for c in clips])
-

@@ -160,12 +160,12 @@ class TransferReport:
 
 class _Undrawn:
     """Stands in for a random generator when building a model whose every
-    tensor is about to be overwritten: `uniform` draws nothing and returns
-    unwritten memory."""
+    tensor is about to be replaced: `uniform` draws nothing and returns a
+    zero-strided view of one zero, which allocates nothing."""
 
     @staticmethod
     def uniform(low, high, size):
-        return np.empty(size)
+        return np.broadcast_to(0.0, size)
 
 
 @dataclass
@@ -181,10 +181,12 @@ class Checkpoint:
     transfer: TransferReport | None = None
 
     def rebuild(self) -> object:
-        """Instantiate the architecture and load this checkpoint's weights.
+        """Instantiate the architecture on this checkpoint's weights.
 
-        Every tensor is overwritten, so the model is built without drawing
-        any random numbers."""
+        Every parameter is a read-only float64 view of the checkpoint's
+        array, not a copy, so an optimizer step on the model raises instead
+        of editing the checkpoint (finetune copies them). The model is
+        built without drawing any random numbers."""
         model = md.model_from_config(self.architecture, self.model_config,
                                      _Undrawn())
         target = model.named_parameters()
@@ -193,7 +195,9 @@ class Checkpoint:
         for name, arr in self.params.items():
             if target[name].data.shape != arr.shape:
                 raise ValueError(f"checkpoint tensor {name} has wrong shape")
-            target[name].data[...] = arr
+            view = np.asarray(arr, dtype=np.float64).view()
+            view.flags.writeable = False
+            target[name].data = view
         return model
 
 
@@ -234,11 +238,18 @@ def stage_split(corpus: Corpus, split: str, store, text_source,
         raise ValueError(f"corpus has no captions in split {split!r}")
     texts = {c.caption_id: capped_text(text_source.tokens_for(c), cfg.word_cap)
              for c in captions}
-    clips = {}
-    for sid in corpus.split_ids(split):
-        clips[sid] = gather_clip(store, sid, experts, cfg.frame_caps or None)
     pairs = [(c.caption_id, c.sample_id) for c in captions]
-    return pairs, texts, clips
+    return pairs, texts, stage_clips(corpus, split, store, experts, cfg)
+
+
+def stage_clips(corpus: Corpus, split: str, store, experts: tuple[str, ...],
+                cfg: TrainConfig) -> dict[str, AudioClip]:
+    """Fetch every clip of a split once, capped, keyed by sample id."""
+    ids = corpus.split_ids(split)
+    if not ids:
+        raise ValueError(f"corpus has no clips in split {split!r}")
+    return {sid: gather_clip(store, sid, experts, cfg.frame_caps or None)
+            for sid in ids}
 
 
 def _validate(model, texts: dict[str, TextEmbedding],

@@ -3,6 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
+
+import audioret.blas as blas
+
+needs_openblas = pytest.mark.skipif(
+    blas.describe()["threads"] is None,
+    reason="numpy does not run on its bundled OpenBLAS")
 
 
 def finite_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

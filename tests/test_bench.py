@@ -18,8 +18,9 @@ import audioret.training as tr
 from audioret.checkpoint import save_checkpoint
 from audioret.cli import main as cli_main
 from audioret.evaluation import MetricsReport, SeedAggregate
-from audioret.models.similarity import similarity_matrix
+from audioret.models.similarity import encode_clips, similarity_matrix
 from audioret.synthetic import make_synthetic_benchmark, make_word_table
+from helpers import needs_openblas
 
 TINY_MODEL = dict(text_clusters=2, text_ghost=1, audio_clusters=2,
                   audio_ghost=0, joint_dim=8)
@@ -651,6 +652,39 @@ def test_search_leaves_the_blas_thread_count(frozen_ckpt, bundle):
     before = blas.describe()
     searcher.search("w001 w005 w009", top_k=3)
     assert blas.describe() == before
+
+
+def test_searcher_stages_clips_only(frozen_ckpt, bundle, monkeypatch):
+    """Building a Searcher embeds no caption, and its pool is the encoding
+    of the split's staged clips."""
+    calls = []
+    tokens_for = type(bundle.text_source).tokens_for
+    monkeypatch.setattr(type(bundle.text_source), "tokens_for",
+                        lambda self, c: calls.append(c) or tokens_for(self, c))
+    searcher = bn.Searcher(frozen_ckpt, bundle.corpus, bundle.store,
+                           bundle.text_source)
+    assert calls == []
+    _, _, clips = tr.stage_split(bundle.corpus, "test", bundle.store,
+                                 bundle.text_source, ("ea", "eb"),
+                                 frozen_ckpt.train_config)
+    assert searcher.pool_ids == sorted(clips)
+    pool = encode_clips(frozen_ckpt.rebuild(),
+                        [clips[sid] for sid in searcher.pool_ids])
+    np.testing.assert_array_equal(searcher.pool.vectors.data, pool.vectors.data)
+    np.testing.assert_array_equal(searcher.pool.present, pool.present)
+
+
+def test_searcher_rejects_a_split_without_clips(frozen_ckpt, bundle):
+    with pytest.raises(ValueError, match="no clips in split 'nowhere'"):
+        bn.Searcher(frozen_ckpt, bundle.corpus, bundle.store,
+                    bundle.text_source, split="nowhere")
+
+
+@needs_openblas
+def test_searcher_init_leaves_the_blas_thread_count(frozen_ckpt, bundle,
+                                                    two_threads):
+    bn.Searcher(frozen_ckpt, bundle.corpus, bundle.store, bundle.text_source)
+    assert blas.describe()["threads"] == 2
 
 
 def test_search_normalizes_the_pool_once(frozen_ckpt, bundle, monkeypatch):

@@ -1,30 +1,18 @@
-"""Runtime BLAS thread control: the one-thread pin, its restore rule, and
-the thread invariance of the batch-of-one path it serves."""
+"""Runtime BLAS thread control: the one-thread pin, its restore rule, the
+pinned task runner, and the thread invariance of the paths they serve."""
 
 import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 import audioret.autodiff as ad
 import audioret.blas as blas
-
-needs_openblas = pytest.mark.skipif(
-    blas.describe()["threads"] is None,
-    reason="numpy does not run on its bundled OpenBLAS")
-
-
-@pytest.fixture
-def two_threads():
-    """Run the test at 2 BLAS threads, so that a pin to 1 shows."""
-    get, set_, _ = blas._openblas()
-    before = get()
-    set_(2)
-    yield
-    set_(before)
+from helpers import needs_openblas
 
 
 def _threads():
@@ -109,6 +97,85 @@ def test_describe_names_the_library():
     assert info["threads"] >= 1
 
 
+def _recording_task(value, seen, delay=0.0):
+    def task():
+        time.sleep(delay)
+        seen.append((threading.get_ident(), _threads()))
+        return value
+    return task
+
+
+@needs_openblas
+def test_run_pinned_runs_tasks_on_pinned_workers_in_order(two_threads):
+    seen = []
+    tasks = [_recording_task(i, seen, 0.002) for i in range(8)]
+    assert blas.run_pinned(tasks, 2) == list(range(8))
+    assert len(seen) == 8 and {count for _, count in seen} == {1}
+    assert threading.get_ident() not in {ident for ident, _ in seen}
+    assert _threads() == 2
+
+
+@needs_openblas
+def test_run_pinned_serial_runs_in_the_caller(two_threads, monkeypatch):
+    seen, started = [], []
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self))
+    tasks = [_recording_task(i, seen) for i in range(3)]
+    assert blas.run_pinned(tasks, 1) == [0, 1, 2]
+    assert blas.run_pinned(tasks[:1], 2) == [0]
+    assert started == []
+    assert seen == [(threading.get_ident(), 1)] * 4
+    assert _threads() == 2
+
+
+@needs_openblas
+def test_run_pinned_waits_for_every_task_when_one_fails(two_threads):
+    """The first failure in task order is raised, only after every task
+    has finished, and the thread count is restored."""
+    done = []
+
+    def task(i):
+        def run():
+            time.sleep(0.01 * (4 - i))
+            done.append(i)
+            if i in (1, 3):
+                raise KeyError(f"task {i}")
+        return run
+
+    with pytest.raises(KeyError, match="task 1"):
+        blas.run_pinned([task(i) for i in range(4)], 2)
+    assert sorted(done) == [0, 1, 2, 3]
+    assert _threads() == 2
+
+
+@needs_openblas
+def test_one_thread_yields_the_count_in_force_before_the_pin(two_threads):
+    with blas.one_thread() as outer:
+        with blas.one_thread() as inner:
+            assert (outer, inner, _threads()) == (2, 2, 1)
+
+
+def test_one_thread_yields_one_without_the_library(monkeypatch):
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
+    with blas.one_thread() as threads:
+        assert threads == 1
+
+
+def _digests(script: str) -> list[str]:
+    """The script's output under 1 and under 2 BLAS threads."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        result = subprocess.run([sys.executable, "-c", script],
+                                env=env, capture_output=True, text=True,
+                                timeout=120)
+        assert result.returncode == 0, result.stderr[-2000:]
+        digests.append(result.stdout.strip())
+    return digests
+
+
 _QUERY_DIGEST = """
 import hashlib
 import numpy as np
@@ -131,14 +198,29 @@ def test_single_caption_encoding_ignores_blas_thread_count():
     """A one-caption CE text side at width 20 x 300 = 6000, where a 32-row
     block's bits differ between 1 and 2 BLAS threads, gives the same bits
     under both."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads)
-        result = subprocess.run([sys.executable, "-c", _QUERY_DIGEST],
-                                env=env, capture_output=True, text=True,
-                                timeout=120)
-        assert result.returncode == 0, result.stderr[-2000:]
-        digests.append(result.stdout.strip())
-    assert digests[0] == digests[1]
+    first, second = _digests(_QUERY_DIGEST)
+    assert first == second
+
+
+_MATRIX_DIGEST = """
+import hashlib
+import numpy as np
+from audioret.experts import AudioClip, TextEmbedding
+from audioret.models import build_model, similarity_matrix
+rng = np.random.default_rng(4)
+model = build_model("ce", ("p",), {"p": 8}, 300, rng)
+texts = [TextEmbedding(f"c{i}", rng.standard_normal((21, 300)),
+                       np.ones(21, dtype=bool)) for i in range(40)]
+clips = [AudioClip(f"a{j}", {"p": rng.standard_normal((6, 8))})
+         for j in range(10)]
+values = similarity_matrix(model, texts, clips).values
+print(hashlib.sha256(values.tobytes()).hexdigest())
+"""
+
+
+def test_similarity_matrix_ignores_blas_thread_count():
+    """A 40-caption x 10-clip CE matrix at text width 20 x 300 = 6000, whose
+    32-row text blocks differ between 1 and 2 unpinned BLAS threads, gives
+    the same bits under both: every chunk runs on one pinned thread."""
+    first, second = _digests(_MATRIX_DIGEST)
+    assert first == second

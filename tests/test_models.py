@@ -1,17 +1,22 @@
 """Architecture behavior: blocks, scores, oracles, and invariances."""
 
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from audioret import autodiff as ad
+from audioret import blas
 from audioret import models as md
 from audioret.experts import AudioClip, TextEmbedding
+from audioret.models import similarity
 from audioret.models.blocks import stream_rows
 from audioret.training import ranking_loss
-from helpers import (check_gradients, ref_ce_score, ref_gated_unit,
-                     ref_mmt_encode, ref_mmt_score, ref_moee_score, ref_netvlad)
+from helpers import (check_gradients, needs_openblas, ref_ce_score,
+                     ref_gated_unit, ref_mmt_encode, ref_mmt_score,
+                     ref_moee_score, ref_netvlad)
 
 
 def _rig_unit(unit, target: np.ndarray) -> None:
@@ -568,6 +573,92 @@ def test_only_single_item_batches_run_rowwise(arch, monkeypatch):
     one = md.similarity_matrix(model, texts[:1], clips)
     assert any(modes)
     np.testing.assert_allclose(one.values[0], sim.values[0], rtol=0, atol=1e-12)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Every thread started during the test."""
+    started, start = [], threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+@needs_openblas
+@pytest.mark.parametrize("arch", ["moee", "ce", "mmt"])
+def test_pool_and_caller_loop_give_the_same_bits(arch, two_threads,
+                                                 thread_starts, monkeypatch):
+    """Chunks encoded on the thread pool and in the caller give bitwise the
+    same clip encoding and matrix: 65 captions in three chunks either way,
+    and 6 clips that the pool splits in two and the caller does not."""
+    rng = np.random.default_rng(970)
+    model, dim = _random_model(arch, rng)
+    texts = [_random_caption(rng, dim, f"c{i}", 6) for i in range(65)]
+    clips = [_random_clip(rng, model, f"a{j}", 6) for j in range(6)]
+    runs = []
+    for cutoff in (0, 1 << 62):
+        monkeypatch.setattr(similarity, "POOL_MIN_WEIGHTS", cutoff)
+        thread_starts.clear()
+        runs.append((md.encode_clips(model, clips).vectors.data,
+                     md.similarity_matrix(model, texts, clips).values))
+        assert bool(thread_starts) == (cutoff == 0)
+    np.testing.assert_array_equal(runs[0][0], runs[1][0])
+    np.testing.assert_array_equal(runs[0][1], runs[1][1])
+
+
+def test_chunks_are_near_equal_and_never_single():
+    for count in range(1, 200):
+        for least in (1, 2, 3):
+            sizes = [p.stop - p.start for p in similarity._chunks(count, least)]
+            assert sum(sizes) == count and max(sizes) <= 32
+            assert max(sizes) - min(sizes) <= 1
+            assert count == 1 or 1 not in sizes
+            assert len(sizes) >= min(least, count // 2)
+
+
+@needs_openblas
+def test_synthetic_size_matrix_starts_no_thread(two_threads, thread_starts):
+    """A model of synthetic_fit's size stays below the pool cut-off, so its
+    validation runs in the caller even with two chunks a side."""
+    rng = np.random.default_rng(971)
+    model = md.build_model("ce", ("p", "q"), {"p": 12, "q": 8}, 10, rng,
+                           dict(text_clusters=8, text_ghost=1, audio_clusters=8,
+                                audio_ghost=0, joint_dim=64))
+    texts = [_random_caption(rng, 10, f"c{i}", 6) for i in range(64)]
+    clips = [_random_clip(rng, model, f"a{j}", 6) for j in range(64)]
+    md.similarity_matrix(model, texts, clips)
+    assert thread_starts == []
+
+
+@needs_openblas
+def test_failing_worker_restores_blas_and_grad_mode(two_threads, monkeypatch):
+    """An encoder that raises inside a worker fails the matrix only after
+    every chunk has finished, with the BLAS thread count and grad mode
+    restored."""
+    rng = np.random.default_rng(972)
+    model, dim = _random_model("ce", rng)
+    texts = [_random_caption(rng, dim, f"c{i}", 6) for i in range(96)]
+    clips = [_random_clip(rng, model, f"a{j}", 6) for j in range(40)]
+    monkeypatch.setattr(similarity, "POOL_MIN_WEIGHTS", 0)
+    encode_text, finished = model.encode_text, []
+
+    def flaky(captions):
+        if captions[0].caption_id == "c32":
+            raise RuntimeError("encoder failed")
+        time.sleep(0.05)
+        finished.append(captions[0].caption_id)
+        return encode_text(captions)
+
+    monkeypatch.setattr(model, "encode_text", flaky)
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        md.similarity_matrix(model, texts, clips)
+    assert sorted(finished) == ["c0", "c64"]
+    assert blas.describe()["threads"] == 2
+    assert ad._GRAD_ENABLED
 
 
 def test_mmt_clip_alone_matches_its_row_among_changing_batchmates():

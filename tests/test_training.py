@@ -554,6 +554,26 @@ class TestCheckpointRebuild:
             np.testing.assert_array_equal(params[name].data,
                                           arr.astype(np.float64))
 
+    def test_rebuild_adopts_read_only_views(self):
+        """Rebuilt parameters share the checkpoint's memory, are read-only,
+        and an optimizer step on them raises without editing it."""
+        bench = make_synthetic_benchmark(np.random.default_rng(0), n_pairs=4)
+        ckpt = tr.train(tiny_model("ce", bench), bench.corpus, bench.store,
+                        bench.text_source, _train_cfg(architecture="ce", epochs=0),
+                        tr.LossConfig(batch_size=2))
+        before = {k: v.copy() for k, v in ckpt.params.items()}
+        params = ckpt.rebuild().named_parameters()
+        for name, p in params.items():
+            assert np.shares_memory(p.data, ckpt.params[name])
+            assert not p.data.flags.writeable
+        opt = optim.Adam(params, lr=0.01)
+        for p in params.values():
+            p.grad = np.ones_like(p.data)
+        with pytest.raises(ValueError, match="read-only"):
+            opt.step()
+        for name, arr in ckpt.params.items():
+            np.testing.assert_array_equal(arr, before[name])
+
 
 class TestFinetune:
     def _pretrained(self, bench, arch="moee", epochs=1):
