@@ -15,12 +15,12 @@ import hashlib
 import json
 import os
 import warnings
+import weakref
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import blas
 from . import models as md
 from . import training as tr
@@ -31,7 +31,9 @@ from .evaluation import (MetricsReport, ResultRow, SeedAggregate,
                          report_to_dict, t2a_ground_truth)
 from .experts import (DEFAULT_REGISTRY, WordTableTextSource, load_word_table,
                       open_feature_store)
-from .models.similarity import combine_scores, encode_clips, similarity_matrix
+# combine_scores is reached through this module too (perfbench hooks it)
+from .models.similarity import (combine_scores, encode_clips, query_scores,
+                                query_workers, similarity_matrix)
 from .synthetic import make_synthetic_benchmark
 from .training import Checkpoint, LossConfig, TrainConfig
 
@@ -510,7 +512,9 @@ class Searcher:
 
     Audio-side embeddings for the pool are computed once at construction
     and reused for every query; ranking uses the evaluation tie-break
-    (score descending, then sample id ascending).
+    (score descending, then sample id ascending). A large model's query
+    runs its expert branches on workers the Searcher keeps for its whole
+    life (similarity.query_workers); they stop when it is collected.
     """
 
     def __init__(self, ckpt: Checkpoint, corpus: Corpus, store, text_source,
@@ -523,6 +527,11 @@ class Searcher:
         self.pool_ids = sorted(clips)
         self._ids = np.asarray(self.pool_ids)
         self.pool = encode_clips(self.model, [clips[sid] for sid in self.pool_ids])
+        self._workers = None
+        if workers := query_workers(self.model):
+            from concurrent.futures import ThreadPoolExecutor
+            self._workers = ThreadPoolExecutor(workers)
+            weakref.finalize(self, self._workers.shutdown, wait=False)
 
     def search(self, query: str, top_k: int = 10) -> list[tuple[str, float]]:
         if not query or not query.strip():
@@ -533,8 +542,6 @@ class Searcher:
         # row of the evaluated matrix
         emb = tr.capped_text(self.text_source.tokens_for(
             CaptionRecord("query", "query", query)), self.word_cap)
-        with ad.no_grad():
-            scores = combine_scores(self.model.encode_text([emb]), self.pool)
-        values = np.clip(scores.data[0], -1.0, 1.0)
+        values = query_scores(self.model, emb, self.pool, self._workers)
         order = np.lexsort((self._ids, -values))[:top_k]
         return [(self.pool_ids[i], float(values[i])) for i in order]

@@ -88,6 +88,39 @@ def run_pinned(tasks: list, workers: int) -> list:
         return [future.result() for future in futures]
 
 
+def _run_here(task):
+    """task() in the calling thread, its result or exception in a future."""
+    from concurrent.futures import Future
+    future = Future()
+    try:
+        future.set_result(task())
+    except Exception as exc:
+        future.set_exception(exc)
+    return future
+
+
+def run_pinned_on(executor, tasks: list) -> list:
+    """Call every task (a function of no arguments) on one pinned OpenBLAS
+    thread and return the results in task order.
+
+    The caller runs the first task and `executor`'s long-lived workers the
+    rest; once its own is done, the caller takes back and runs every task
+    no worker has started. Without an executor all of them run in the
+    caller and no thread starts. Each task's bits are those of a one-thread
+    run either way. Every task has finished when this returns or raises; a
+    failure is raised from the first task that failed, in task order."""
+    with one_thread():
+        if executor is None:
+            return [task() for task in tasks]
+        from concurrent.futures import wait
+        queued = [executor.submit(task) for task in tasks[1:]]
+        futures = [_run_here(tasks[0])] + [
+            _run_here(task) if future.cancel() else future
+            for task, future in zip(tasks[1:], queued)]
+        wait(futures)
+        return [future.result() for future in futures]
+
+
 def describe() -> dict:
     """The BLAS numpy runs on and its thread count, both None when it is
     not numpy's bundled OpenBLAS."""

@@ -3,8 +3,9 @@ tensors in the feature store's binary matrix format (float32).
 
 Tensors of any rank are stored as 2-D matrices (leading axis kept, the
 rest flattened); the manifest records every true shape, the model
-hyperparameters, the training configuration, and the validation history,
-so an archive alone is enough to rebuild and requery the model.
+hyperparameters, the training configuration, the validation history and
+the BLAS training ran on (absent from older archives), so an archive
+alone is enough to rebuild and requery the model.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ def save_checkpoint(ckpt: Checkpoint, path: Path | str) -> Path:
         "best_step": ckpt.best_step,
         "history": [[step, report_to_dict(rep)] for step, rep in ckpt.history],
         "tensors": {name: list(arr.shape) for name, arr in ckpt.params.items()},
+        "blas": ckpt.blas,
     }
     tmp = path.with_name(path.name + ".tmp")
     # float32 weights deflate by under 10 % at many times the write time
@@ -87,4 +89,4 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
     return Checkpoint(manifest["architecture"], manifest["model_config"],
                       params, train_config, history,
                       float(manifest["selection_score"]),
-                      int(manifest["best_step"]))
+                      int(manifest["best_step"]), blas=manifest.get("blas"))

@@ -47,11 +47,16 @@ class AudioBatch:
         return ad.score_tiles(self.unit.data)
 
 
-def text_batch(units: dict, head, experts: tuple[str, ...], pooled) -> TextBatch:
-    """Per-expert gated units and the softmax mixture head over B pooled
-    caption vectors."""
-    vectors = ad.stack([units[e](pooled) for e in experts], axis=1)
-    return TextBatch(vectors, ad.softmax(head(pooled)))
+def encode_captions(model, captions: list) -> TextBatch:
+    """Every model's encode_text: model.pool_text's B pooled caption
+    vectors through the per-expert gated units (model.text_units) and the
+    softmax mixture head (model.weight_head). A batch of one caption runs
+    row by row."""
+    with ad.rowwise(len(captions) == 1):
+        pooled = model.pool_text(captions)
+        vectors = ad.stack([model.text_units[e](pooled)
+                            for e in model.cfg.experts], axis=1)
+        return TextBatch(vectors, ad.softmax(model.weight_head(pooled)))
 
 
 # -- configuration and batch assembly ------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..experts import TextEmbedding
 from .blocks import (AudioBatch, GatedUnit, Linear, check_experts, collect,
-                     config_dict, gather_streams, text_batch, uniform_init)
+                     config_dict, encode_captions, gather_streams, uniform_init)
 
 LN_EPS = 1e-5
 
@@ -168,17 +168,13 @@ class MmtModel:
 
     # -- text side -----------------------------------------------------
 
-    def encode_text(self, captions: list[TextEmbedding]):
-        """Encode a list of captions into a TextBatch.
+    encode_text = encode_captions
 
-        A caption's pooled vector is the mean of its valid token rows, or
-        zero when it has none.
-        """
-        pooled = np.stack([t.token_matrix[t.mask].mean(axis=0) if t.mask.any()
-                           else np.zeros(t.token_matrix.shape[1]) for t in captions])
-        with ad.rowwise(len(captions) == 1):
-            return text_batch(self.text_units, self.weight_head,
-                              self.cfg.experts, pooled)
+    def pool_text(self, captions: list[TextEmbedding]) -> np.ndarray:
+        """The mean of each caption's valid token rows, or zero when it has
+        none, B x text_dim."""
+        return np.stack([t.token_matrix[t.mask].mean(axis=0) if t.mask.any()
+                         else np.zeros(t.token_matrix.shape[1]) for t in captions])
 
     # -- parameters ----------------------------------------------------
 

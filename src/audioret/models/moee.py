@@ -16,7 +16,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..experts import TextEmbedding
 from .blocks import (AudioBatch, GatedUnit, Linear, NetVlad, check_experts,
-                     collect, config_dict, gather_streams, text_batch)
+                     collect, config_dict, encode_captions, gather_streams)
 
 
 @dataclass
@@ -55,14 +55,13 @@ class MoeeModel:
 
     # -- encoding ------------------------------------------------------
 
-    def encode_text(self, captions: list[TextEmbedding]):
-        """Encode a list of captions into a TextBatch."""
-        with ad.rowwise(len(captions) == 1):
-            # an all-OOV caption aggregates its zero rows themselves
-            pooled = self.text_vlad([t.token_matrix[t.mask] if t.mask.any()
-                                     else t.token_matrix for t in captions])
-            return text_batch(self.text_units, self.weight_head,
-                              self.cfg.experts, pooled)
+    encode_text = encode_captions
+
+    def pool_text(self, captions: list[TextEmbedding]) -> ad.Tensor:
+        """NetVLAD over each caption's valid token rows, B x K*D; an all-OOV
+        caption aggregates its zero rows themselves."""
+        return self.text_vlad([t.token_matrix[t.mask] if t.mask.any()
+                               else t.token_matrix for t in captions])
 
     def encode_audio(self, streams: list):
         """Encode a list of stream mappings into an AudioBatch."""

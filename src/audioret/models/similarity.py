@@ -14,6 +14,11 @@ items, each on one pinned OpenBLAS thread (blas.run_pinned), so their bits
 do not depend on the BLAS thread count. A large model's chunks, at least
 one per BLAS thread, run on a thread pool as wide as that count; a small
 model's run in the caller.
+
+A search query (query_scores) runs each expert's branch as a pinned task:
+the caller runs the first, and a large model's Searcher gives the rest to
+workers it keeps (query_workers). Its scores are bitwise a one-caption
+matrix's either way.
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ from .blocks import AudioBatch, TextBatch
 # items per encoder call when encoding an evaluation or search pool
 ENCODE_CHUNK = 32
 # a side's chunks go to the thread pool only when the model's largest
-# weight matrix has at least this many entries; below it each op is a few
-# microseconds of Python holding the GIL, and a pool only adds overhead
-# (crossover measured in CHANGES.md)
+# weight matrix has at least this many entries, and a query's expert
+# branches go to workers only when a text unit's input matrix has; below
+# it each op is a few microseconds of Python holding the GIL, and a pool
+# only adds overhead (crossovers measured in CHANGES.md)
 POOL_MIN_WEIGHTS = 1 << 18
 
 
@@ -55,14 +61,60 @@ class SimilarityMatrix:
                                 list(self.row_ids))
 
 
+def mix_experts(weights, present: np.ndarray, cosines) -> ad.Tensor:
+    """Bt x Ba scores from Bt x Ba x E per-expert cosines: text i's mixture
+    weights (Bt x E), renormalized over the experts present for audio j
+    (Ba x E), weight its cosines."""
+    rows, experts = weights.shape
+    mass = ad.mul(ad.reshape(weights, (rows, 1, experts)),
+                  present[None].astype(np.float64))
+    return ad.div(ad.tsum(ad.mul(mass, cosines), axis=2), ad.tsum(mass, axis=2))
+
+
 def combine_scores(text: TextBatch, audio: AudioBatch) -> ad.Tensor:
     """Bt x Ba tensor of pairwise scores from two encoded batches."""
-    cosines = ad.pairwise_inner(ad.row_normalize(text.vectors), audio.unit,
-                                audio.unit_tiles)  # Bt x Ba x E
-    rows, experts = text.weights.shape
-    mass = ad.mul(ad.reshape(text.weights, (rows, 1, experts)),
-                  audio.present[None].astype(np.float64))
-    return ad.div(ad.tsum(ad.mul(mass, cosines), axis=2), ad.tsum(mass, axis=2))
+    return mix_experts(text.weights, audio.present,
+                       ad.pairwise_inner(ad.row_normalize(text.vectors),
+                                         audio.unit, audio.unit_tiles))
+
+
+def query_workers(model) -> int:
+    """How many workers besides the caller a one-caption query's expert
+    branches run on (query_scores): one per BLAS thread past the first when
+    the model has two or more experts and a text unit's input matrix has
+    at least POOL_MIN_WEIGHTS entries, otherwise none."""
+    experts = model.cfg.experts
+    largest = max(model.text_units[e].w1.data.size for e in experts)
+    if len(experts) < 2 or largest < POOL_MIN_WEIGHTS:
+        return 0
+    return (blas.describe()["threads"] or 1) - 1
+
+
+def query_scores(model, caption: TextEmbedding, audio: AudioBatch,
+                 workers=None) -> np.ndarray:
+    """One caption's scores against an encoded pool, clipped into [-1, 1]:
+    bitwise its row of a one-caption similarity_matrix.
+
+    Each expert's branch (its gated unit on the pooled caption, the row
+    normalization and the score tiles against the pool) is a pinned task;
+    the caller runs the first and the `workers` executor, if any, the rest
+    (blas.run_pinned_on). Pooling, the mixture head and the mixing run in
+    the caller."""
+    experts, tiles = model.cfg.experts, audio.unit_tiles
+    with ad.no_grad(), ad.rowwise():
+        pooled = model.pool_text([caption])
+
+        def branch(e: int) -> np.ndarray:  # 1 x Ba x 1 cosines
+            unit = ad.row_normalize(model.text_units[experts[e]](pooled))
+            return ad.pairwise_inner(ad.reshape(unit, (1, 1, -1)),
+                                     audio.unit[:, e:e + 1],
+                                     tiles[e:e + 1]).data
+
+        cosines = blas.run_pinned_on(workers, [functools.partial(branch, e)
+                                               for e in range(len(experts))])
+        scores = mix_experts(ad.softmax(model.weight_head(pooled)),
+                             audio.present, np.concatenate(cosines, axis=2))
+    return np.clip(scores.data[0], -1.0, 1.0)
 
 
 def batch_scores(model, texts: list[TextEmbedding],
@@ -78,8 +130,13 @@ def batch_scores(model, texts: list[TextEmbedding],
 def _chunks(count: int, least: int = 1) -> list[slice]:
     """Near-equal consecutive slices of at most ENCODE_CHUNK items, and at
     least `least` of them as far as two items a slice allow: a batch of
-    one runs row by row, so no slice holds one item unless count is 1."""
+    one runs row by row, so no slice holds one item unless count is 1.
+    Their number is a multiple of `least` where two items a slice allow,
+    so `least` workers get the same number of slices."""
     pieces = max(-(-count // ENCODE_CHUNK), min(least, count // 2))
+    balanced = -(-pieces // least) * least
+    if balanced <= count // 2:
+        pieces = balanced
     bounds = [count * i // pieces for i in range(pieces + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
@@ -104,6 +161,8 @@ def _encode_chunks(model, encode, items: list) -> list:
 def encode_clips(model, clips: list[AudioClip]) -> AudioBatch:
     """Inference-mode encoding of a clip pool, at most ENCODE_CHUNK clips
     per call."""
+    if not clips:
+        raise ValueError("empty batch")
     with ad.no_grad():
         parts = _encode_chunks(
             model, lambda chunk: model.encode_audio([c.streams for c in chunk]),

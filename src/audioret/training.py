@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from . import blas
 from . import models as md
 from . import optim
 from .corpus import Corpus
@@ -179,6 +180,8 @@ class Checkpoint:
     best_step: int
     log_lines: list[str] = field(default_factory=list)
     transfer: TransferReport | None = None
+    # blas.describe() where training ran; None for archives saved without it
+    blas: dict | None = None
 
     def rebuild(self) -> object:
         """Instantiate the architecture on this checkpoint's weights.
@@ -354,7 +357,7 @@ def train(model, corpus: Corpus, store, text_source, cfg: TrainConfig,
     best_step, report = history[select_best(history)]
     return Checkpoint(cfg.architecture, model.config_dict(), best_params,
                       cfg, history, selection_score(report), best_step,
-                      log_lines)
+                      log_lines, blas=blas.describe())
 
 
 def finetune(ckpt: Checkpoint, corpus: Corpus, store, text_source,

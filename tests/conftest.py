@@ -1,5 +1,7 @@
 """Fixtures shared across test modules."""
 
+import threading
+
 import pytest
 
 import audioret.blas as blas
@@ -14,3 +16,16 @@ def two_threads():
     set_(2)
     yield
     set_(before)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Every thread started during the test."""
+    started, start = [], threading.Thread.start
+
+    def spy(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started

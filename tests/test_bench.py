@@ -14,10 +14,12 @@ import pytest
 import audioret.autodiff as ad
 import audioret.bench as bn
 import audioret.blas as blas
+import audioret.models as md
 import audioret.training as tr
 from audioret.checkpoint import save_checkpoint
 from audioret.cli import main as cli_main
 from audioret.evaluation import MetricsReport, SeedAggregate
+from audioret.models import similarity
 from audioret.models.similarity import encode_clips, similarity_matrix
 from audioret.synthetic import make_synthetic_benchmark, make_word_table
 from helpers import needs_openblas
@@ -702,6 +704,83 @@ def test_search_normalizes_the_pool_once(frozen_ckpt, bundle, monkeypatch):
     for query in ("w001", "w005 w009", "w010 w011"):
         searcher.search(query, top_k=3)
     assert sum(pool_calls) == 1
+
+
+def _searcher(arch, data, **model):
+    """A Searcher on an untrained checkpoint of `arch` over data's test
+    split, built from the model overrides."""
+    dims = dict(data.expert_dims)
+    built = md.build_model(arch, tuple(dims), dims, data.text_source.dim,
+                           np.random.default_rng(7), model)
+    params = {k: p.data.copy() for k, p in built.named_parameters().items()}
+    ckpt = tr.Checkpoint(arch, built.config_dict(), params,
+                         tr.TrainConfig(arch, steps=0, word_cap=21), [], 0.0, 0)
+    return bn.Searcher(ckpt, data.corpus, data.store, data.text_source)
+
+
+SMALL = {"moee": TINY_MODEL, "ce": TINY_MODEL,
+         "mmt": dict(model_dim=8, layers=1, heads=2, ff_dim=8, max_frames=8)}
+QUERIES = ("w001 w002 w003", "w005 w009", "unknown words only", "w010")
+
+
+@pytest.fixture(scope="module")
+def paper_text():
+    """Synthetic data with 300-d word vectors, Clotho's text width."""
+    rng = np.random.default_rng(8)
+    return make_synthetic_benchmark(rng, n_pairs=8, n_test=8,
+                                    word_table=make_word_table(rng, dim=300))
+
+
+@needs_openblas
+@pytest.mark.parametrize("arch", ["moee", "ce", "mmt"])
+def test_search_branches_on_workers_keep_hits_and_scores(arch, bundle,
+                                                         two_threads,
+                                                         monkeypatch):
+    """Forcing the expert branches onto the Searcher's worker and keeping
+    them in the caller give the same hits with bitwise the same scores."""
+    runs = []
+    for cutoff in (0, 1 << 62):
+        monkeypatch.setattr(similarity, "POOL_MIN_WEIGHTS", cutoff)
+        searcher = _searcher(arch, bundle, **SMALL[arch])
+        assert (searcher._workers is None) == bool(cutoff)
+        runs.append([searcher.search(q, top_k=16) for q in QUERIES])
+    assert runs[0] == runs[1]
+
+
+@needs_openblas
+def test_paper_width_searcher_keeps_one_worker(paper_text, two_threads,
+                                               thread_starts):
+    """A CE text unit of 6000 x 512 fans out: its Searcher starts one worker
+    at its first query and no thread over the next thousand."""
+    searcher = _searcher("ce", paper_text, text_clusters=20, text_ghost=1,
+                         audio_clusters=2, audio_ghost=0, joint_dim=512)
+    assert searcher.model.text_units["ea"].w1.data.shape == (512, 6000)
+    thread_starts.clear()
+    first = searcher.search("w001 w002 w003", top_k=4)
+    assert thread_starts == list(searcher._workers._threads)
+    assert len(thread_starts) == 1
+    for i in range(1000):
+        searcher.search(f"w{i % 50:03d} w{(7 * i) % 50:03d}", top_k=4)
+    assert len(thread_starts) == 1
+    assert searcher.search("w001 w002 w003", top_k=4) == first
+
+
+@needs_openblas
+@pytest.mark.parametrize("arch", ["ce", "mmt"])
+def test_small_text_unit_searcher_starts_no_thread(arch, bundle, paper_text,
+                                                   two_threads, thread_starts):
+    """A synthetic-size model and MMT, whose text unit at paper width is
+    300 x 512, search in the caller and start no thread."""
+    if arch == "mmt":
+        searcher = _searcher("mmt", paper_text, layers=1, ff_dim=64,
+                             max_frames=8)
+        assert searcher.model.text_units["ea"].w1.data.shape == (512, 300)
+        thread_starts.clear()  # its audio side is large enough for the pool
+    else:
+        searcher = _searcher("ce", bundle, **TINY_MODEL)
+    for query in QUERIES:
+        searcher.search(query, top_k=3)
+    assert searcher._workers is None and thread_starts == []
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,90 @@ def test_run_pinned_waits_for_every_task_when_one_fails(two_threads):
 
 
 @needs_openblas
+def test_run_pinned_on_runs_the_first_task_in_the_caller(two_threads):
+    """The caller runs task 0; the rest run on the executor's worker or are
+    taken back by the caller, every one of them pinned, results in order."""
+    from concurrent.futures import ThreadPoolExecutor
+    ran = {}
+
+    def task(i):
+        def run():
+            time.sleep(0.002)
+            ran[i] = (threading.get_ident(), _threads())
+            return i
+        return run
+
+    with ThreadPoolExecutor(1) as workers:
+        assert blas.run_pinned_on(workers, [task(i) for i in range(4)]) == \
+            [0, 1, 2, 3]
+        (worker,) = workers._threads
+    assert ran[0] == (threading.get_ident(), 1)
+    assert sorted(ran) == [0, 1, 2, 3]
+    assert {count for _, count in ran.values()} == {1}
+    assert {ident for ident, _ in ran.values()} <= {threading.get_ident(),
+                                                    worker.ident}
+    assert _threads() == 2
+
+
+@needs_openblas
+def test_run_pinned_on_without_an_executor_runs_in_the_caller(two_threads,
+                                                              monkeypatch):
+    seen, started = [], []
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self))
+    tasks = [_recording_task(i, seen) for i in range(3)]
+    assert blas.run_pinned_on(None, tasks) == [0, 1, 2]
+    assert started == []
+    assert seen == [(threading.get_ident(), 1)] * 3
+    assert _threads() == 2
+
+
+@needs_openblas
+def test_run_pinned_on_takes_back_tasks_no_worker_started(two_threads):
+    """With the only worker blocked, the caller runs every task itself and
+    returns; the blocker's wait is bounded, so a helper that waited for
+    the worker instead would fail the test, not hang it."""
+    from concurrent.futures import ThreadPoolExecutor
+    release, seen = threading.Event(), []
+    with ThreadPoolExecutor(1) as workers:
+        blocker = workers.submit(release.wait, 30)
+        try:
+            tasks = [_recording_task(i, seen) for i in range(3)]
+            assert blas.run_pinned_on(workers, tasks) == [0, 1, 2]
+            assert not blocker.done()
+        finally:
+            release.set()
+    assert seen == [(threading.get_ident(), 1)] * 3
+    assert _threads() == 2
+
+
+@needs_openblas
+def test_run_pinned_on_waits_for_every_task_when_one_fails(two_threads):
+    """A failing task fails the call only after the others have finished,
+    with the first failure in task order raised and the count restored."""
+    from concurrent.futures import ThreadPoolExecutor
+    done, started = [], threading.Event()
+
+    def task(i):
+        def run():
+            if i == 1:
+                started.set()
+                time.sleep(0.05)
+            else:
+                started.wait(5)
+            done.append(i)
+            if i in (1, 2):
+                raise KeyError(f"task {i}")
+        return run
+
+    with ThreadPoolExecutor(1) as workers:
+        with pytest.raises(KeyError, match="task 1"):
+            blas.run_pinned_on(workers, [task(i) for i in range(3)])
+        assert sorted(done) == [0, 1, 2]
+    assert _threads() == 2
+
+
+@needs_openblas
 def test_one_thread_yields_the_count_in_force_before_the_pin(two_threads):
     with blas.one_thread() as outer:
         with blas.one_thread() as inner:

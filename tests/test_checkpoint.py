@@ -7,6 +7,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from audioret import blas
 from audioret import training as tr
 from audioret.checkpoint import load_checkpoint, save_checkpoint
 from audioret.synthetic import make_synthetic_benchmark
@@ -33,6 +34,12 @@ class TestRoundTrip:
         assert back.selection_score == ckpt.selection_score
         assert back.best_step == ckpt.best_step
         assert back.history == ckpt.history
+
+    def test_blas_provenance_survives(self, trained, tmp_path):
+        _, ckpt = trained
+        assert ckpt.blas == blas.describe()
+        back = load_checkpoint(save_checkpoint(ckpt, tmp_path / "m.ckpt"))
+        assert back.blas == ckpt.blas
 
     def test_tensors_survive_at_storage_precision(self, trained, tmp_path):
         _, ckpt = trained
@@ -119,6 +126,17 @@ class TestOlderArchives:
             manifest = json.loads(archive.read("manifest.json"))
         assert manifest["train_config"]["checkpoint_every"] is None
         back = load_checkpoint(old)
+        assert back.train_config == ckpt.train_config
+
+    def test_manifest_without_blas_loads_with_none(self, trained, tmp_path):
+        _, ckpt = trained
+        path = save_checkpoint(ckpt, tmp_path / "m.ckpt")
+        old = self._rewrite(path, tmp_path / "old.ckpt", zipfile.ZIP_STORED,
+                            edit=lambda m: m.pop("blas"))
+        with zipfile.ZipFile(old) as archive:
+            assert "blas" not in json.loads(archive.read("manifest.json"))
+        back = load_checkpoint(old)
+        assert back.blas is None
         assert back.train_config == ckpt.train_config
 
 

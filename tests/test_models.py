@@ -1,6 +1,5 @@
 """Architecture behavior: blocks, scores, oracles, and invariances."""
 
-import threading
 import time
 import warnings
 
@@ -575,26 +574,14 @@ def test_only_single_item_batches_run_rowwise(arch, monkeypatch):
     np.testing.assert_allclose(one.values[0], sim.values[0], rtol=0, atol=1e-12)
 
 
-@pytest.fixture
-def thread_starts(monkeypatch):
-    """Every thread started during the test."""
-    started, start = [], threading.Thread.start
-
-    def spy(thread):
-        started.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", spy)
-    return started
-
-
 @needs_openblas
 @pytest.mark.parametrize("arch", ["moee", "ce", "mmt"])
 def test_pool_and_caller_loop_give_the_same_bits(arch, two_threads,
                                                  thread_starts, monkeypatch):
     """Chunks encoded on the thread pool and in the caller give bitwise the
-    same clip encoding and matrix: 65 captions in three chunks either way,
-    and 6 clips that the pool splits in two and the caller does not."""
+    same clip encoding and matrix: 65 captions in four chunks on the pool
+    and three in the caller, and 6 clips that the pool splits in two and
+    the caller does not."""
     rng = np.random.default_rng(970)
     model, dim = _random_model(arch, rng)
     texts = [_random_caption(rng, dim, f"c{i}", 6) for i in range(65)]
@@ -618,6 +605,9 @@ def test_chunks_are_near_equal_and_never_single():
             assert max(sizes) - min(sizes) <= 1
             assert count == 1 or 1 not in sizes
             assert len(sizes) >= min(least, count // 2)
+            # every worker gets as many chunks, where two items a chunk allow
+            balanced = -(-len(sizes) // least) * least
+            assert len(sizes) % least == 0 or balanced > count // 2
 
 
 @needs_openblas
@@ -647,7 +637,7 @@ def test_failing_worker_restores_blas_and_grad_mode(two_threads, monkeypatch):
     encode_text, finished = model.encode_text, []
 
     def flaky(captions):
-        if captions[0].caption_id == "c32":
+        if captions[0].caption_id == "c24":
             raise RuntimeError("encoder failed")
         time.sleep(0.05)
         finished.append(captions[0].caption_id)
@@ -656,9 +646,74 @@ def test_failing_worker_restores_blas_and_grad_mode(two_threads, monkeypatch):
     monkeypatch.setattr(model, "encode_text", flaky)
     with pytest.raises(RuntimeError, match="encoder failed"):
         md.similarity_matrix(model, texts, clips)
-    assert sorted(finished) == ["c0", "c64"]
+    assert sorted(finished) == ["c0", "c48", "c72"]
     assert blas.describe()["threads"] == 2
     assert ad._GRAD_ENABLED
+
+
+@needs_openblas
+@pytest.mark.parametrize("arch", ["moee", "ce", "mmt"])
+def test_query_branches_on_a_worker_match_a_one_caption_matrix(arch,
+                                                                two_threads):
+    """A query's expert branches give the same bits on a worker as in the
+    caller, and both are the caption's row of a one-caption matrix, an
+    all-OOV caption included."""
+    from concurrent.futures import ThreadPoolExecutor
+    rng = np.random.default_rng(973)
+    model, dim = _random_model(arch, rng)
+    texts = [_random_caption(rng, dim, f"c{i}", 6, oov=i == 0) for i in range(4)]
+    clips = [_random_clip(rng, model, f"a{j}", 6) for j in range(40)]
+    pool = md.encode_clips(model, clips)
+    with ThreadPoolExecutor(1) as workers:
+        for text in texts:
+            want = md.similarity_matrix(model, [text], clips).values[0]
+            np.testing.assert_array_equal(
+                similarity.query_scores(model, text, pool, workers), want)
+            np.testing.assert_array_equal(
+                similarity.query_scores(model, text, pool), want)
+
+
+@needs_openblas
+def test_failing_branch_fails_the_query_after_the_others(two_threads,
+                                                         monkeypatch):
+    """A branch that raises on the worker fails the query only once the
+    caller's and the other worker branch have finished, with the BLAS
+    thread count, grad mode and row mode restored."""
+    from concurrent.futures import ThreadPoolExecutor
+    rng = np.random.default_rng(974)
+    model, dim = _random_model("ce", rng)
+    clips = [_random_clip(rng, model, f"a{j}", 6) for j in range(8)]
+    pool = md.encode_clips(model, clips)
+    finished = []
+
+    def slow(expert):
+        unit = model.text_units[expert]
+
+        def run(x):
+            time.sleep(0.05)
+            finished.append(expert)
+            return unit(x)
+        return run
+
+    def broken(x):
+        raise RuntimeError("branch failed")
+
+    monkeypatch.setitem(model.text_units, "p", slow("p"))
+    monkeypatch.setitem(model.text_units, "q", broken)
+    monkeypatch.setitem(model.text_units, "r", slow("r"))
+    with ThreadPoolExecutor(1) as workers:
+        with pytest.raises(RuntimeError, match="branch failed"):
+            similarity.query_scores(model, _random_caption(rng, dim, "c", 6),
+                                    pool, workers)
+        assert sorted(finished) == ["p", "r"]
+    assert blas.describe()["threads"] == 2
+    assert ad._GRAD_ENABLED and not ad._ROWWISE
+
+
+def test_encode_clips_rejects_an_empty_pool():
+    model, _ = _random_model("moee", np.random.default_rng(975))
+    with pytest.raises(ValueError, match="empty batch"):
+        md.encode_clips(model, [])
 
 
 def test_mmt_clip_alone_matches_its_row_among_changing_batchmates():
