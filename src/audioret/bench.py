@@ -16,7 +16,7 @@ import json
 import os
 import warnings
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,8 @@ NUMERICS_VERSION = 7
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
+# the one entry each study's config section holds
+STUDY_ENTRIES = {"ablate": "subsets", "transfer": "source", "scale": "fractions"}
 
 # per-architecture schedule defaults
 ARCH_DEFAULTS = {
@@ -138,6 +140,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown architecture {self.architecture!r}")
         if self.dataset not in DATASET_NAMES + ("synthetic",):
             raise ValueError(f"unknown dataset {self.dataset!r}")
+        for section, entry in STUDY_ENTRIES.items():
+            unknown = sorted(set(self.extras.get(section, {})) - {entry})
+            if unknown:
+                raise ValueError(f"unknown {section} key {unknown[0]!r}")
+        # the study entries, parsed once
+        raw = {section: self.extras.get(section, {}).get(entry) or ""
+               for section, entry in STUDY_ENTRIES.items()}
+        self.subsets = tuple(_parse_list(group, str)
+                             for group in raw["ablate"].split(";") if group.strip())
+        self.source = raw["transfer"] or None
+        self.fractions = _parse_list(raw["scale"], float) or DEFAULT_FRACTIONS
 
     def canonical_lines(self, extra: dict | None = None) -> list[str]:
         entries = {
@@ -258,10 +271,25 @@ def _build_configs(cfg: ExperimentConfig, seed: int) -> tuple[TrainConfig, LossC
     return train_cfg, LossConfig(**loss_kw)
 
 
-def _build_model(cfg: ExperimentConfig, bundle: DataBundle, seed: int):
+def _check_config(cfg: ExperimentConfig, bundle: DataBundle) -> None:
+    """Reject train./loss./model. keys no config takes, and experts the
+    bundle lacks, before anything trains."""
+    model_cfg = md.ARCHITECTURES[cfg.architecture][0]
+    # a run sets the architecture and seed, a model its experts and widths
+    for section, known in (("train", fields(TrainConfig)),
+                           ("loss", fields(LossConfig)),
+                           ("model", fields(model_cfg)[3:])):
+        names = {f.name for f in known} - {"architecture", "seed"}
+        unknown = sorted(set(getattr(cfg, section)) - names)
+        if unknown:
+            raise ValueError(f"unknown {section} key {unknown[0]!r}")
     missing = [e for e in cfg.experts if e not in bundle.expert_dims]
     if missing:
         raise ValueError(f"expert not available for {cfg.dataset}: {missing[0]!r}")
+
+
+def _build_model(cfg: ExperimentConfig, bundle: DataBundle, seed: int):
+    _check_config(cfg, bundle)
     dims = {e: bundle.expert_dims[e] for e in cfg.experts}
     return md.build_model(cfg.architecture, cfg.experts, dims, bundle.text_dim,
                           np.random.default_rng(seed), dict(cfg.model))
@@ -276,10 +304,7 @@ def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle,
                                      tuple(model.cfg.experts),
                                      ckpt.train_config)
     sim = similarity_matrix(model, list(texts.values()), list(clips.values()))
-    split_corpus = Corpus(
-        bundle.corpus.name,
-        [s for s in bundle.corpus.samples if s.split == split],
-        bundle.corpus.captions_for_split(split))
+    split_corpus = bundle.corpus.of_split(split)
     return {"t2a": compute_metrics(sim, t2a_ground_truth(split_corpus)),
             "a2t": compute_metrics(sim.transposed(),
                                    a2t_ground_truth(split_corpus))}
@@ -314,22 +339,29 @@ class RunDir:
                                                            sort_keys=True))
 
 
+def _train_new(cfg: ExperimentConfig, data: DataBundle, seed: int) -> Checkpoint:
+    train_cfg, loss_cfg = _build_configs(cfg, seed)
+    return tr.train(_build_model(cfg, data, seed), data.corpus, data.store,
+                    data.text_source, train_cfg, loss_cfg)
+
+
 def run_single(cfg: ExperimentConfig, bundle: DataBundle, seed: int,
                run_dir: RunDir, train_bundle: DataBundle | None = None,
-               pretrained: Checkpoint | None = None) -> dict:
-    """Train (or reuse a cached artifact) for one seed; return the artifact."""
+               source: tuple[ExperimentConfig, DataBundle] | None = None) -> dict:
+    """Train (or reuse a cached artifact) for one seed; return the artifact.
+
+    A `source` (config, bundle) pair is trained on first, and its
+    checkpoint fine-tuned on the train bundle; the cache is probed once."""
     cached = run_dir.load_seed(seed)
     if cached is not None:
         return cached
-    train_cfg, loss_cfg = _build_configs(cfg, seed)
     data = train_bundle or bundle
-    if pretrained is not None:
-        ckpt = tr.finetune(pretrained, data.corpus, data.store,
-                           data.text_source, train_cfg, loss_cfg)
+    if source is None:
+        ckpt = _train_new(cfg, data, seed)
     else:
-        model = _build_model(cfg, data, seed)
-        ckpt = tr.train(model, data.corpus, data.store, data.text_source,
-                        train_cfg, loss_cfg)
+        train_cfg, loss_cfg = _build_configs(cfg, seed)
+        ckpt = tr.finetune(_train_new(*source, seed), data.corpus, data.store,
+                           data.text_source, train_cfg, loss_cfg)
     reports = evaluate_checkpoint(ckpt, bundle)
     payload = {
         "seed": seed,
@@ -343,14 +375,6 @@ def run_single(cfg: ExperimentConfig, bundle: DataBundle, seed: int,
     }
     run_dir.store_seed(seed, payload)
     return payload
-
-
-def _aggregate_artifacts(artifacts: list[dict]) -> dict[str, MetricsReport | SeedAggregate]:
-    out = {}
-    for direction in ("t2a", "a2t"):
-        reports = [report_from_dict(a[direction]) for a in artifacts]
-        out[direction] = reports[0] if len(reports) == 1 else aggregate_seeds(reports)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +411,48 @@ class ResultTable:
 # studies
 
 
+@dataclass
+class _Row:
+    """A table row; `source` is a (config, bundle) pair to pretrain on."""
+    label: str
+    cfg: ExperimentConfig
+    extra: dict | None = None
+    train_data: DataBundle | None = None
+    source: tuple[ExperimentConfig, DataBundle] | None = None
+
+
+def _run_study(cfg: ExperimentConfig, bundle: DataBundle, rows: list[_Row],
+               extra: dict | None = None) -> ResultTable:
+    """Every row's seeds through run_single, evaluated on `bundle`; the
+    table is saved once, under cfg.run_key(extra)."""
+    for row in rows:  # fail on a typo before any row trains
+        _check_config(row.cfg, row.train_data or bundle)
+        if row.source is not None:
+            _check_config(*row.source)
+    table, row_dirs = ResultTable([]), set()
+    for row in rows:
+        run_dir = RunDir(row.cfg, row.extra)
+        row_dirs.add(run_dir.path)
+        artifacts = [run_single(row.cfg, bundle, seed, run_dir,
+                                row.train_data, row.source)
+                     for seed in row.cfg.seeds]
+        reports = {d: [report_from_dict(a[d]) for a in artifacts]
+                   for d in ("t2a", "a2t")}
+        table.rows.append(ResultRow(row.label, {
+            d: r[0] if len(r) == 1 else aggregate_seeds(r)
+            for d, r in reports.items()}))
+    # a benchmark's or transfer's key is also a row's: that RunDir is open
+    path = Path(cfg.out_dir) / cfg.run_key(extra)
+    table.save(path if path in row_dirs else RunDir(cfg, extra).path)
+    return table
+
+
 def run_benchmark(cfg: ExperimentConfig,
                   data: DataBundle | None = None) -> ResultTable:
     """Train/evaluate cfg across its seeds; one aggregated table row."""
     bundle = data or load_data(cfg)
-    run_dir = RunDir(cfg)
-    artifacts = [run_single(cfg, bundle, seed, run_dir) for seed in cfg.seeds]
-    label = f"{cfg.dataset}/{cfg.architecture}"
-    table = ResultTable([ResultRow(label, _aggregate_artifacts(artifacts))])
-    table.save(run_dir.path)
-    return table
+    return _run_study(cfg, bundle, [_Row(f"{cfg.dataset}/{cfg.architecture}",
+                                         cfg)])
 
 
 def run_ablation(cfg: ExperimentConfig, subsets: list[tuple[str, ...]],
@@ -405,18 +461,9 @@ def run_ablation(cfg: ExperimentConfig, subsets: list[tuple[str, ...]],
     if not subsets:
         raise ValueError("no expert subsets configured")
     bundle = data or load_data(cfg)
-    rows = []
-    for subset in subsets:
-        sub_cfg = replace(cfg, experts=tuple(subset))
-        run_dir = RunDir(sub_cfg)
-        artifacts = [run_single(sub_cfg, bundle, seed, run_dir)
-                     for seed in sub_cfg.seeds]
-        rows.append(ResultRow("+".join(subset), _aggregate_artifacts(artifacts)))
-        ResultTable([rows[-1]]).save(run_dir.path)
-    table = ResultTable(rows)
-    table.save(RunDir(cfg, {"study": "ablation",
-                            "subsets": [list(s) for s in subsets]}).path)
-    return table
+    rows = [_Row("+".join(s), replace(cfg, experts=tuple(s))) for s in subsets]
+    return _run_study(cfg, bundle, rows, {"study": "ablation",
+                                          "subsets": [list(s) for s in subsets]})
 
 
 def run_transfer(cfg: ExperimentConfig, source_dataset: str,
@@ -428,30 +475,12 @@ def run_transfer(cfg: ExperimentConfig, source_dataset: str,
         warnings.warn("transfer source equals target; this is just longer "
                       "training on the same data")
     source_cfg = replace(cfg, dataset=source_dataset)
-    source_bundle = source_data or load_data(source_cfg)
-
-    scratch_dir = RunDir(cfg)
-    scratch = [run_single(cfg, bundle, seed, scratch_dir) for seed in cfg.seeds]
-
-    fine_dir = RunDir(cfg, {"study": "transfer", "source": source_dataset})
-    finetuned = []
-    for seed in cfg.seeds:
-        cached = fine_dir.load_seed(seed)
-        if cached is not None:
-            finetuned.append(cached)
-            continue
-        train_cfg, loss_cfg = _build_configs(source_cfg, seed)
-        model = _build_model(source_cfg, source_bundle, seed)
-        pre = tr.train(model, source_bundle.corpus, source_bundle.store,
-                       source_bundle.text_source, train_cfg, loss_cfg)
-        finetuned.append(run_single(cfg, bundle, seed, fine_dir,
-                                    pretrained=pre))
-    rows = [ResultRow(f"{cfg.dataset}/scratch", _aggregate_artifacts(scratch)),
-            ResultRow(f"{source_dataset}→{cfg.dataset}",
-                      _aggregate_artifacts(finetuned))]
-    table = ResultTable(rows)
-    table.save(fine_dir.path)
-    return table
+    source = (source_cfg, source_data or load_data(source_cfg))
+    extra = {"study": "transfer", "source": source_dataset}
+    return _run_study(cfg, bundle, [
+        _Row(f"{cfg.dataset}/scratch", cfg),
+        _Row(f"{source_dataset}→{cfg.dataset}", cfg, extra, source=source)],
+        extra)
 
 
 def subsample_train(corpus: Corpus, fraction: float, seed: int) -> Corpus:
@@ -479,28 +508,17 @@ def run_scale_study(cfg: ExperimentConfig, fractions=DEFAULT_FRACTIONS,
                     subsample_seed: int = 0) -> ResultTable:
     """Metric-vs-training-fraction curve over nested seeded subsamples."""
     fractions = tuple(float(f) for f in fractions)
-    for f in fractions:
-        if not 0.0 < f <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {f}")
     bundle = data or load_data(cfg)
     rows = []
-    for fraction in fractions:
-        extra = None if fraction == 1.0 else {"fraction": fraction,
-                                              "subsample_seed": subsample_seed}
-        run_dir = RunDir(cfg, extra)
-        sub_corpus = subsample_train(bundle.corpus, fraction, subsample_seed)
-        sub_bundle = DataBundle(sub_corpus, bundle.store, bundle.text_source,
-                                bundle.expert_dims, bundle.text_dim)
-        artifacts = [run_single(cfg, bundle, seed, run_dir,
-                                train_bundle=sub_bundle)
-                     for seed in cfg.seeds]
-        n_train = len(sub_corpus.split_ids("train"))
-        rows.append(ResultRow(f"frac={fraction:g} (n={n_train})",
-                              _aggregate_artifacts(artifacts)))
-    table = ResultTable(rows)
-    table.save(RunDir(cfg, {"study": "scale", "fractions": list(fractions),
-                            "subsample_seed": subsample_seed}).path)
-    return table
+    for f in fractions:
+        sub = replace(bundle, corpus=subsample_train(bundle.corpus, f,
+                                                     subsample_seed))
+        extra = {"fraction": f, "subsample_seed": subsample_seed}
+        rows.append(_Row(f"frac={f:g} (n={len(sub.corpus.split_ids('train'))})",
+                         cfg, None if f == 1.0 else extra, sub))
+    return _run_study(cfg, bundle, rows, {"study": "scale",
+                                          "fractions": list(fractions),
+                                          "subsample_seed": subsample_seed})
 
 
 # ---------------------------------------------------------------------------

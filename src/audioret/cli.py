@@ -16,28 +16,6 @@ from .corpus import (SplitSpec, assign_splits, build_sounddescs_manifest,
                      corpus_stats, load_benchmark, save_corpus)
 
 
-def _experiment(args) -> ExperimentConfig:
-    overrides = {
-        "dataset": args.dataset,
-        "architecture": args.arch,
-        "experts": tuple(args.experts.split(",")) if args.experts else None,
-        "seeds": tuple(int(s) for s in args.seeds.split(",")) if args.seeds else None,
-        "out_dir": args.out,
-    }
-    if args.config:
-        return experiment_from_file(args.config, **overrides)
-    return experiment_from_sections({}, **overrides)
-
-
-def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat section.key=value config file")
-    parser.add_argument("--dataset", help="dataset name")
-    parser.add_argument("--arch", choices=tuple(md.ARCHITECTURES))
-    parser.add_argument("--experts", help="comma-separated expert names")
-    parser.add_argument("--seeds", help="comma-separated integer seeds")
-    parser.add_argument("--out", help="artifact output directory")
-
-
 def _cmd_build_sounddescs(args) -> int:
     corpus, report = build_sounddescs_manifest(args.index, args.descriptions)
     corpus = assign_splits(corpus, SplitSpec(seed=args.seed))
@@ -58,58 +36,46 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_benchmark(args) -> int:
-    cfg = _experiment(args)
-    table = bench.run_benchmark(cfg)
-    print(table.to_text(), end="")
-    return 0
+# command: (help, study of a parsed config, the parsed entry it needs and
+# the message printed when that entry is missing)
+STUDIES = {
+    "benchmark": ("train and evaluate across seeds", bench.run_benchmark, None),
+    "ablate": ("benchmark each configured expert subset",
+               lambda cfg: bench.run_ablation(cfg, cfg.subsets),
+               ("subsets", "ablate needs an `ablate.subsets=` config entry "
+                "(semicolon-separated subsets, e.g. "
+                "VGGish;VGGSound;VGGish,VGGSound)")),
+    "transfer": ("pretrain, finetune, and compare",
+                 lambda cfg: bench.run_transfer(cfg, cfg.source),
+                 ("source", "transfer needs a `transfer.source=` config entry "
+                  "(the pretraining dataset name)")),
+    "scale": ("training-set fraction study",
+              lambda cfg: bench.run_scale_study(cfg, cfg.fractions), None),
+}
 
 
-def _cmd_ablate(args) -> int:
-    cfg = _experiment(args)
-    raw = cfg.extras.get("ablate", {}).get("subsets")
-    if not raw:
-        print("ablate needs an `ablate.subsets=` config entry "
-              "(semicolon-separated subsets, e.g. VGGish;VGGSound;VGGish,VGGSound)",
-              file=sys.stderr)
+def _cmd_study(args) -> int:
+    overrides = {
+        "dataset": args.dataset,
+        "architecture": args.arch,
+        "experts": tuple(args.experts.split(",")) if args.experts else None,
+        "seeds": tuple(int(s) for s in args.seeds.split(",")) if args.seeds else None,
+        "out_dir": args.out,
+    }
+    cfg = (experiment_from_file(args.config, **overrides) if args.config
+           else experiment_from_sections({}, **overrides))
+    _, study, needs = STUDIES[args.command]
+    if needs and not getattr(cfg, needs[0]):
+        print(needs[1], file=sys.stderr)
         return 2
-    subsets = [tuple(p.strip() for p in group.split(",") if p.strip())
-               for group in raw.split(";") if group.strip()]
-    table = bench.run_ablation(cfg, subsets)
-    print(table.to_text(), end="")
-    return 0
-
-
-def _cmd_transfer(args) -> int:
-    cfg = _experiment(args)
-    source = cfg.extras.get("transfer", {}).get("source")
-    if not source:
-        print("transfer needs a `transfer.source=` config entry "
-              "(the pretraining dataset name)", file=sys.stderr)
-        return 2
-    table = bench.run_transfer(cfg, source)
-    print(table.to_text(), end="")
-    return 0
-
-
-def _cmd_scale(args) -> int:
-    cfg = _experiment(args)
-    raw = cfg.extras.get("scale", {}).get("fractions")
-    fractions = (tuple(float(f) for f in raw.split(","))
-                 if raw else bench.DEFAULT_FRACTIONS)
-    table = bench.run_scale_study(cfg, fractions)
-    print(table.to_text(), end="")
+    print(study(cfg).to_text(), end="")
     return 0
 
 
 def _cmd_search(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    if args.dataset == "synthetic":
-        bundle = bench.synthetic_bundle()
-    else:
-        cfg = ExperimentConfig(args.dataset, ckpt.architecture,
-                               tuple(ckpt.model_config["experts"]))
-        bundle = bench.load_data(cfg)
+    bundle = bench.load_data(ExperimentConfig(
+        args.dataset, ckpt.architecture, tuple(ckpt.model_config["experts"])))
     searcher = bench.Searcher(ckpt, bundle.corpus, bundle.store,
                               bundle.text_source, split=args.split)
     for query in args.query:
@@ -141,14 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
                                   f"(default ${DATA_ENV}/<dataset>)")
     p.set_defaults(func=_cmd_stats)
 
-    for name, func, blurb in (
-            ("benchmark", _cmd_benchmark, "train and evaluate across seeds"),
-            ("ablate", _cmd_ablate, "benchmark each configured expert subset"),
-            ("transfer", _cmd_transfer, "pretrain, finetune, and compare"),
-            ("scale", _cmd_scale, "training-set fraction study")):
+    for name, (blurb, _, _) in STUDIES.items():
         p = sub.add_parser(name, help=blurb)
-        _add_experiment_flags(p)
-        p.set_defaults(func=func)
+        p.add_argument("--config", help="flat section.key=value config file")
+        p.add_argument("--dataset", help="dataset name")
+        p.add_argument("--arch", choices=tuple(md.ARCHITECTURES))
+        p.add_argument("--experts", help="comma-separated expert names")
+        p.add_argument("--seeds", help="comma-separated integer seeds")
+        p.add_argument("--out", help="artifact output directory")
+        p.set_defaults(func=_cmd_study)
 
     p = sub.add_parser("search", help="rank pool audio for text queries")
     p.add_argument("query", nargs="+", help="free-text queries")

@@ -96,6 +96,11 @@ class Corpus:
         return sorted((c for c in self.captions if c.sample_id in members),
                       key=lambda c: c.caption_id)
 
+    def of_split(self, split: str) -> Corpus:
+        """The split's samples and captions alone, e.g. for its ground truth."""
+        return Corpus(self.name, [s for s in self.samples if s.split == split],
+                      self.captions_for_split(split))
+
 
 @dataclass
 class SplitSpec:

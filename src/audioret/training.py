@@ -283,9 +283,7 @@ def train(model, corpus: Corpus, store, text_source, cfg: TrainConfig,
         corpus, "train", store, text_source, experts, cfg)
     _, val_texts, val_clips = stage_split(
         corpus, "val", store, text_source, experts, cfg)
-    val_gt = t2a_ground_truth(
-        Corpus(corpus.name, [s for s in corpus.samples if s.split == "val"],
-               corpus.captions_for_split("val")))
+    val_gt = t2a_ground_truth(corpus.of_split("val"))
 
     params = model.named_parameters()
     opt = optim.build_optimizer(cfg.optimizer, params, cfg.lr,
@@ -313,6 +311,12 @@ def train(model, corpus: Corpus, store, text_source, cfg: TrainConfig,
         if select_best(history) == len(history) - 1:
             best_params.update((k, p.data.copy()) for k, p in params.items())
 
+    def full_batches() -> list[list[tuple[str, str]]]:
+        batches = assemble_batches(pairs, loss_cfg.batch_size, rng)
+        if not batches:
+            raise ValueError("train split too small for one full batch")
+        return batches
+
     def run_batch(batch) -> None:
         nonlocal step
         texts = [train_texts[cid] for cid, _ in batch]
@@ -334,15 +338,12 @@ def train(model, corpus: Corpus, store, text_source, cfg: TrainConfig,
     elif by_epoch:
         for epoch in range(budget):
             opt.lr = scheduled_lr(cfg.lr, cfg.lr_decay, epoch)
-            for batch in assemble_batches(pairs, loss_cfg.batch_size, rng):
+            for batch in full_batches():
                 run_batch(batch)
             run_validation()
     else:
         while step < budget:
-            batches = assemble_batches(pairs, loss_cfg.batch_size, rng)
-            if not batches:
-                raise ValueError("train split too small for one full batch")
-            for batch in batches:
+            for batch in full_batches():
                 run_batch(batch)
                 if step % val_every == 0:
                     run_validation()

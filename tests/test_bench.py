@@ -525,6 +525,133 @@ def test_scale_rejects_bad_fraction(rig, bundle):
         bn.run_scale_study(cfg, fractions=(0.0,), data=bundle)
 
 
+def test_ablation_keeps_the_benchmark_table(bundle, tmp_path):
+    """The full subset shares the benchmark's run directory; the ablation
+    writes its table under its own key only."""
+    cfg = tiny_config(tmp_path, seeds=(0,))
+    table = bn.run_benchmark(cfg, data=bundle)
+    bn.run_ablation(cfg, [("ea",), ("ea", "eb")], data=bundle)
+    bench_dir = tmp_path / cfg.run_key()
+    assert (bench_dir / "table.txt").read_text() == table.to_text()
+    assert (bench_dir / "table.csv").read_text() == table.to_csv()
+
+
+def test_study_entries_parsed_once():
+    cfg = bn.experiment_from_sections(bn.parse_config(
+        "experiment.dataset = synthetic\nexperiment.arch = moee\n"
+        "experiment.experts = ea,eb\n"
+        "ablate.subsets = ea; eb ;ea, eb;\n"
+        "transfer.source = clotho\nscale.fractions = 0.5, 1\n"))
+    assert cfg.subsets == (("ea",), ("eb",), ("ea", "eb"))
+    assert cfg.source == "clotho"
+    assert cfg.fractions == (0.5, 1.0)
+    plain = tiny_config("runs")
+    assert (plain.subsets, plain.source) == ((), None)
+    assert plain.fractions == bn.DEFAULT_FRACTIONS
+
+
+@pytest.mark.parametrize("section, key", [("ablate", "subset"),
+                                          ("transfer", "sources"),
+                                          ("scale", "fraction")])
+def test_study_section_typo_rejected(section, key):
+    sections = bn.parse_config(
+        "experiment.dataset = synthetic\nexperiment.arch = moee\n"
+        f"experiment.experts = ea\n{section}.{key} = 0.5\n")
+    with pytest.raises(ValueError, match=f"unknown {section} key '{key}'"):
+        bn.experiment_from_sections(sections)
+
+
+@pytest.mark.parametrize("section, key", [("train", "epoch"),
+                                          ("train", "seed"),
+                                          ("loss", "margn"),
+                                          ("model", "joint_dimm"),
+                                          ("model", "experts")])
+def test_unknown_run_key_fails_before_any_run_dir(bundle, tmp_path, section,
+                                                  key):
+    cfg = tiny_config(tmp_path / "runs")
+    getattr(cfg, section)[key] = 2
+    with pytest.raises(ValueError, match=f"unknown {section} key '{key}'"):
+        bn.run_benchmark(cfg, data=bundle)
+    assert not (tmp_path / "runs").exists()
+
+
+def test_every_row_checked_before_the_first_trains(bundle, tmp_path,
+                                                   monkeypatch):
+    monkeypatch.setattr(tr, "train", lambda *a, **kw: pytest.fail("trained"))
+    cfg = tiny_config(tmp_path / "runs")
+    with pytest.raises(ValueError, match="expert not available .* 'zz'"):
+        bn.run_ablation(cfg, [("ea",), ("eb",), ("ea", "zz")], data=bundle)
+    source = replace(bundle, expert_dims={"ea": bundle.expert_dims["ea"]})
+    with pytest.raises(ValueError, match="expert not available .* 'eb'"):
+        bn.run_transfer(cfg, "clotho", data=bundle, source_data=source)
+    assert not (tmp_path / "runs").exists()
+
+
+def _study_layouts(cfg):
+    """Each study's runner and the (config, run-key extra) of every
+    directory it writes, with the files each directory holds."""
+    seeds = {"config.txt", "seed0.json", "seed1.json"}
+    tables = {"table.csv", "table.txt"}
+    subsets = [("ea",), ("eb",), ("ea", "eb")]
+    ablation = {"study": "ablation", "subsets": [["ea"], ["eb"], ["ea", "eb"]]}
+    transfer = {"study": "transfer", "source": "synthetic"}
+    scale = {"study": "scale", "fractions": [0.5, 1.0], "subsample_seed": 0}
+    half = {"fraction": 0.5, "subsample_seed": 0}
+    source = bn.synthetic_bundle(seed=4321)
+    return {
+        "benchmark": (lambda data: bn.run_benchmark(cfg, data=data),
+                      [(cfg, None, seeds | tables)]),
+        "ablation": (lambda data: bn.run_ablation(cfg, subsets, data=data),
+                     [(replace(cfg, experts=("ea",)), None, seeds),
+                      (replace(cfg, experts=("eb",)), None, seeds),
+                      (cfg, None, seeds),
+                      (cfg, ablation, {"config.txt"} | tables)]),
+        "transfer": (lambda data: bn.run_transfer(cfg, "synthetic", data=data,
+                                                  source_data=source),
+                     [(cfg, None, seeds), (cfg, transfer, seeds | tables)]),
+        "scale": (lambda data: bn.run_scale_study(cfg, (0.5, 1.0), data=data),
+                  [(cfg, half, seeds), (cfg, None, seeds),
+                   (cfg, scale, {"config.txt"} | tables)]),
+    }
+
+
+@pytest.mark.parametrize("study", ["benchmark", "ablation", "transfer",
+                                   "scale"])
+def test_study_layout_and_one_probe_per_row_seed(study, bundle, tmp_path,
+                                                 monkeypatch):
+    """A study writes exactly these directories, each config.txt names its
+    key, its table lives only under its own key, and every (row, seed)
+    probes the cache once, cold or cached."""
+    cfg = tiny_config(tmp_path)
+    run, layout = _study_layouts(cfg)[study]
+    rows = sum("seed0.json" in files for _, _, files in layout)
+    probes, trained = [], []
+    load_seed, train = bn.RunDir.load_seed, tr.train
+    monkeypatch.setattr(bn.RunDir, "load_seed",
+                        lambda self, seed: probes.append(seed) or
+                        load_seed(self, seed))
+    monkeypatch.setattr(tr, "train",
+                        lambda *a, **kw: trained.append(1) or train(*a, **kw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = run(bundle)
+        assert len(probes) == rows * len(cfg.seeds)
+        written = {p.name: {f.name for f in p.iterdir()}
+                   for p in tmp_path.iterdir()}
+        assert written == {c.run_key(extra): files
+                           for c, extra, files in layout}
+        for c, extra, _ in layout:
+            assert (tmp_path / c.run_key(extra) / "config.txt").read_text() \
+                == "\n".join(c.canonical_lines(extra)) + "\n"
+        study_dir = tmp_path / layout[-1][0].run_key(layout[-1][1])
+        assert (study_dir / "table.txt").read_text() == table.to_text()
+        probes.clear()
+        trained.clear()
+        again = run(bundle)
+    assert again.to_text() == table.to_text()
+    assert len(probes) == rows * len(cfg.seeds) and trained == []
+
+
 # ---------------------------------------------------------------------------
 # training-set subsampling
 
@@ -846,6 +973,20 @@ def test_cli_transfer_needs_source(rig, tmp_path, capsys):
     _write_experiment_cfg(cfg_path, cfg.out_dir)
     assert cli_main(["transfer", "--config", str(cfg_path)]) == 2
     assert "transfer.source" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("scale.fraction = 0.5\n", "unknown scale key 'fraction'"),
+    ("train.epoch = 2\n", "unknown train key 'epoch'"),
+    ("model.joint_dimm = 8\n", "unknown model key 'joint_dimm'")],
+    ids=["scale", "train", "model"])
+def test_cli_config_typo_exits_one_before_writing(tmp_path, capsys, extra,
+                                                  message):
+    cfg_path = tmp_path / "exp.cfg"
+    _write_experiment_cfg(cfg_path, tmp_path / "runs", extra=extra)
+    assert cli_main(["scale", "--config", str(cfg_path)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_cli_reports_errors_with_exit_one(capsys):

@@ -191,3 +191,19 @@ class TestRecordValidation:
     def test_empty_caption_text(self):
         with pytest.raises(ValueError, match="empty text"):
             cp.CaptionRecord("c", "a", "   ")
+
+
+class TestSplitCorpus:
+    def test_of_split_keeps_the_split_alone(self):
+        samples = [cp.SampleRecord("a", 1.0, split="train"),
+                   cp.SampleRecord("b", 2.0, split="val"),
+                   cp.SampleRecord("c", 3.0, split="val")]
+        captions = [cp.CaptionRecord("c2", "c", "rain"),
+                    cp.CaptionRecord("a1", "a", "dog"),
+                    cp.CaptionRecord("b1", "b", "wind"),
+                    cp.CaptionRecord("c1", "c", "rain falls")]
+        val = cp.Corpus("toy", samples, captions).of_split("val")
+        assert val.name == "toy"
+        assert val.samples == samples[1:]
+        assert [c.caption_id for c in val.captions] == ["b1", "c1", "c2"]
+        assert val.captions_for_split("val") == val.captions

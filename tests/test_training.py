@@ -467,6 +467,17 @@ class TestTrainLoop:
                         _train_cfg(epochs=0), tr.LossConfig(batch_size=2))
         assert len(ckpt.history) == 1 and ckpt.history[0][0] == 0
 
+    @pytest.mark.parametrize("budget", [dict(epochs=3),
+                                        dict(epochs=None, steps=3)])
+    def test_split_below_one_batch_is_refused(self, budget):
+        """Either budget type refuses a train split with fewer distinct
+        clips than one batch instead of returning the initial weights."""
+        bench = self._bench(n=4)
+        model = tiny_model("moee", bench)
+        with pytest.raises(ValueError, match="too small for one full batch"):
+            tr.train(model, bench.corpus, bench.store, bench.text_source,
+                     _train_cfg(**budget), tr.LossConfig(batch_size=8))
+
     def test_divergence_aborts_with_step(self):
         bench = self._bench(n=4)
         model = tiny_model("moee", bench)
