@@ -9,26 +9,28 @@ test suite checks them against central finite differences.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from collections.abc import Sequence
 
 import numpy as np
 
 from . import blas
 
-_GRAD_ENABLED = True
-_ROWWISE = False
+# per thread: a context's flags are seen by the tasks it hands to
+# blas.run_pinned, which run in a copy of it, and by no other thread
+_GRAD_MODE = contextvars.ContextVar("grad_mode", default=True)
+_ROW_MODE = contextvars.ContextVar("row_mode", default=False)
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable graph construction inside the block (inference mode)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable graph construction inside the block (inference mode), in
+    the calling thread only."""
+    token = _GRAD_MODE.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_MODE.reset(token)
 
 
 @contextlib.contextmanager
@@ -41,15 +43,14 @@ def rowwise(enabled: bool = True):
     waits on a second BLAS thread: on a shared host a threaded product
     stalls whenever either core is busy. Its bits can differ from a
     block's in the last place, so an encoder uses it for a whole batch of
-    one item and never for part of a batch."""
-    global _ROWWISE
-    previous = _ROWWISE
-    _ROWWISE = enabled
+    one item and never for part of a batch. The flag holds in the calling
+    thread only; the pin, like the thread count, is process-wide."""
+    token = _ROW_MODE.set(enabled)
     try:
         with blas.one_thread() if enabled else contextlib.nullcontext():
             yield
     finally:
-        _ROWWISE = previous
+        _ROW_MODE.reset(token)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -188,7 +189,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_MODE.get() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -320,7 +321,7 @@ def stacked_matmul(x, w, offsets=None, bias=None) -> Tensor:
     rows = np.ascontiguousarray(x.data.reshape(-1, w.shape[0]))
     n = rows.shape[0]
     out = np.empty((n, w.shape[1]))
-    if _ROWWISE:
+    if _ROW_MODE.get():
         for i in range(n):
             np.matmul(rows[i], w.data, out=out[i])
     elif offsets is not None:

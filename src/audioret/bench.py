@@ -15,7 +15,6 @@ import hashlib
 import json
 import os
 import warnings
-import weakref
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .experts import (DEFAULT_REGISTRY, WordTableTextSource, load_word_table,
                       open_feature_store)
 # combine_scores is reached through this module too (perfbench hooks it)
 from .models.similarity import (combine_scores, encode_clips, query_scores,
-                                query_workers, similarity_matrix)
+                                similarity_matrix)
 from .synthetic import make_synthetic_benchmark
 from .training import Checkpoint, LossConfig, TrainConfig
 
@@ -190,8 +189,12 @@ def experiment_from_sections(sections: dict[str, dict[str, str]],
                        for k, v in sections.get("train", {}).items()}
     kwargs["loss"] = {k: _coerce(v) for k, v in sections.get("loss", {}).items()}
     kwargs["model"] = {k: _coerce(v) for k, v in sections.get("model", {}).items()}
+    unknown = sorted(set(sections) - {"experiment", "train", "loss", "model",
+                                      *STUDY_ENTRIES})
+    if unknown:
+        raise ValueError(f"unknown config section {unknown[0]!r}")
     kwargs["extras"] = {name: dict(table) for name, table in sections.items()
-                        if name not in ("experiment", "train", "loss", "model")}
+                        if name in STUDY_ENTRIES}
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
     missing = [k for k in ("dataset", "architecture") if not kwargs.get(k)]
     if missing:
@@ -531,8 +534,8 @@ class Searcher:
     Audio-side embeddings for the pool are computed once at construction
     and reused for every query; ranking uses the evaluation tie-break
     (score descending, then sample id ascending). A large model's query
-    runs its expert branches on workers the Searcher keeps for its whole
-    life (similarity.query_workers); they stop when it is collected.
+    runs its expert branches on the pinned worker pool that evaluation
+    shares (similarity.query_scores); the Searcher holds no thread.
     """
 
     def __init__(self, ckpt: Checkpoint, corpus: Corpus, store, text_source,
@@ -545,11 +548,6 @@ class Searcher:
         self.pool_ids = sorted(clips)
         self._ids = np.asarray(self.pool_ids)
         self.pool = encode_clips(self.model, [clips[sid] for sid in self.pool_ids])
-        self._workers = None
-        if workers := query_workers(self.model):
-            from concurrent.futures import ThreadPoolExecutor
-            self._workers = ThreadPoolExecutor(workers)
-            weakref.finalize(self, self._workers.shutdown, wait=False)
 
     def search(self, query: str, top_k: int = 10) -> list[tuple[str, float]]:
         if not query or not query.strip():
@@ -560,6 +558,6 @@ class Searcher:
         # row of the evaluated matrix
         emb = tr.capped_text(self.text_source.tokens_for(
             CaptionRecord("query", "query", query)), self.word_cap)
-        values = query_scores(self.model, emb, self.pool, self._workers)
+        values = query_scores(self.model, emb, self.pool)
         order = np.lexsort((self._ids, -values))[:top_k]
         return [(self.pool_ids[i], float(values[i])) for i in order]

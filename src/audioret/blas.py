@@ -6,11 +6,17 @@ numpy's own extension module with ctypes on first use, never at import.
 Where numpy runs on another BLAS, or the symbols are missing,
 `one_thread()` pins nothing and reports a count of 1, and `describe()`
 names no library.
+
+`run_pinned` shares tasks out on one pool per width, made once for the
+whole process; evaluation chunks and a search query's expert branches
+share it. Its workers never pin themselves: a lifelong pin would also
+pin training's GEMMs, which run outside run_pinned.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import ctypes
 import functools
 import threading
@@ -67,25 +73,13 @@ def one_thread():
                 set_(_saved)
 
 
-def run_pinned(tasks: list, workers: int) -> list:
-    """Call every task (a function of no arguments) on one pinned OpenBLAS
-    thread and return the results in task order.
-
-    The tasks run on up to `workers` threads; numpy releases the GIL
-    inside BLAS calls and ufunc loops, so the workers share the cores.
-    With one worker or one task they run in the caller, one after
-    another, and no thread starts. Each task's bits are those of a
-    one-thread run either way. Every task has finished when this returns
-    or raises; a failure is raised from the first task that failed, in
-    task order."""
-    with one_thread():
-        width = min(workers, len(tasks))
-        if width <= 1:
-            return [task() for task in tasks]
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(width) as pool:  # its exit waits for all
-            futures = [pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
+@functools.cache
+def _pool(workers: int):
+    """The process-wide pool of `workers` threads that run_pinned shares
+    out tasks on, made at its first use; its threads start as tasks
+    arrive and stay for the life of the process."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(workers, thread_name_prefix="audioret-pinned")
 
 
 def _run_here(task):
@@ -99,21 +93,27 @@ def _run_here(task):
     return future
 
 
-def run_pinned_on(executor, tasks: list) -> list:
+def run_pinned(tasks: list, width: int) -> list:
     """Call every task (a function of no arguments) on one pinned OpenBLAS
     thread and return the results in task order.
 
-    The caller runs the first task and `executor`'s long-lived workers the
-    rest; once its own is done, the caller takes back and runs every task
-    no worker has started. Without an executor all of them run in the
-    caller and no thread starts. Each task's bits are those of a one-thread
-    run either way. Every task has finished when this returns or raises; a
-    failure is raised from the first task that failed, in task order."""
+    The caller runs the first task; with a `width` above 1, a shared pool
+    of width - 1 workers runs the rest, and once its own task is done the
+    caller takes back and runs every task no worker has started. numpy
+    releases the GIL inside BLAS calls and ufunc loops, so they share the
+    cores. Each task runs in a copy of the caller's context, so it sees
+    the caller's autodiff flags (no_grad, rowwise) and no other thread
+    does. The thread count is process-wide, so the caller's pin covers the
+    workers' tasks, and each task's bits are those of a one-thread run.
+    Every task has finished when this returns or raises; a failure is
+    raised from the first task that failed, in task order."""
     with one_thread():
-        if executor is None:
+        if width <= 1 or len(tasks) <= 1:
             return [task() for task in tasks]
         from concurrent.futures import wait
-        queued = [executor.submit(task) for task in tasks[1:]]
+        pool = _pool(width - 1)
+        queued = [pool.submit(contextvars.copy_context().run, task)
+                  for task in tasks[1:]]
         futures = [_run_here(tasks[0])] + [
             _run_here(task) if future.cancel() else future
             for task, future in zip(tasks[1:], queued)]

@@ -12,13 +12,14 @@ to rounding.
 Evaluation and search pools are encoded in chunks of at most ENCODE_CHUNK
 items, each on one pinned OpenBLAS thread (blas.run_pinned), so their bits
 do not depend on the BLAS thread count. A large model's chunks, at least
-one per BLAS thread, run on a thread pool as wide as that count; a small
-model's run in the caller.
+one per BLAS thread, run as wide as that count: the caller runs the first
+and the process's one worker pool the rest. A small model's run in the
+caller.
 
-A search query (query_scores) runs each expert's branch as a pinned task:
-the caller runs the first, and a large model's Searcher gives the rest to
-workers it keeps (query_workers). Its scores are bitwise a one-caption
-matrix's either way.
+A search query (query_scores) runs each expert's branch as a pinned task
+on the same pool, the caller running the first. Its scores are bitwise a
+one-caption matrix's either way. The autodiff flags are per thread, and
+each task sees those of the caller that handed it out.
 """
 
 from __future__ import annotations
@@ -78,30 +79,20 @@ def combine_scores(text: TextBatch, audio: AudioBatch) -> ad.Tensor:
                                          audio.unit, audio.unit_tiles))
 
 
-def query_workers(model) -> int:
-    """How many workers besides the caller a one-caption query's expert
-    branches run on (query_scores): one per BLAS thread past the first when
-    the model has two or more experts and a text unit's input matrix has
-    at least POOL_MIN_WEIGHTS entries, otherwise none."""
-    experts = model.cfg.experts
-    largest = max(model.text_units[e].w1.data.size for e in experts)
-    if len(experts) < 2 or largest < POOL_MIN_WEIGHTS:
-        return 0
-    return (blas.describe()["threads"] or 1) - 1
-
-
-def query_scores(model, caption: TextEmbedding, audio: AudioBatch,
-                 workers=None) -> np.ndarray:
+def query_scores(model, caption: TextEmbedding,
+                 audio: AudioBatch) -> np.ndarray:
     """One caption's scores against an encoded pool, clipped into [-1, 1]:
     bitwise its row of a one-caption similarity_matrix.
 
     Each expert's branch (its gated unit on the pooled caption, the row
-    normalization and the score tiles against the pool) is a pinned task;
-    the caller runs the first and the `workers` executor, if any, the rest
-    (blas.run_pinned_on). Pooling, the mixture head and the mixing run in
-    the caller."""
+    normalization and the score tiles against the pool) is a pinned task
+    (blas.run_pinned): the caller runs the first, and a pool as wide as
+    the BLAS thread count the rest when a text unit's input matrix has at
+    least POOL_MIN_WEIGHTS entries. Pooling, the mixture head and the
+    mixing run in the caller."""
     experts, tiles = model.cfg.experts, audio.unit_tiles
-    with ad.no_grad(), ad.rowwise():
+    largest = max(model.text_units[e].w1.data.size for e in experts)
+    with blas.one_thread() as threads, ad.no_grad(), ad.rowwise():
         pooled = model.pool_text([caption])
 
         def branch(e: int) -> np.ndarray:  # 1 x Ba x 1 cosines
@@ -110,8 +101,9 @@ def query_scores(model, caption: TextEmbedding, audio: AudioBatch,
                                      audio.unit[:, e:e + 1],
                                      tiles[e:e + 1]).data
 
-        cosines = blas.run_pinned_on(workers, [functools.partial(branch, e)
-                                               for e in range(len(experts))])
+        cosines = blas.run_pinned(
+            [functools.partial(branch, e) for e in range(len(experts))],
+            threads if largest >= POOL_MIN_WEIGHTS else 1)
         scores = mix_experts(ad.softmax(model.weight_head(pooled)),
                              audio.present, np.concatenate(cosines, axis=2))
     return np.clip(scores.data[0], -1.0, 1.0)
@@ -143,19 +135,16 @@ def _chunks(count: int, least: int = 1) -> list[slice]:
 
 def _encode_chunks(model, encode, items: list) -> list:
     """encode(chunk) for each _chunks slice of items, in chunk order, each
-    on one pinned BLAS thread. A large model (POOL_MIN_WEIGHTS) splits the
-    items into at least one chunk per BLAS thread and runs them on that
-    many workers; an item's bits do not depend on its chunk. The caller
-    holds no_grad() around it, and this returns once every chunk is done."""
+    on one pinned BLAS thread (blas.run_pinned). A large model
+    (POOL_MIN_WEIGHTS) splits the items into at least one chunk per BLAS
+    thread and runs them that wide; an item's bits do not depend on its
+    chunk. The caller holds no_grad() around it, and this returns once
+    every chunk is done."""
     largest = max(p.data.size for p in model.named_parameters().values())
     with blas.one_thread() as threads:
         width = threads if largest >= POOL_MIN_WEIGHTS else 1
-        parts = _chunks(len(items), width)
-        # rowwise()'s flag is process-wide, so no chunk run on a worker may
-        # be a batch of one
-        assert len(parts) == 1 or all(p.stop - p.start > 1 for p in parts)
         return blas.run_pinned([functools.partial(encode, items[p])
-                                for p in parts], width)
+                                for p in _chunks(len(items), width)], width)
 
 
 def encode_clips(model, clips: list[AudioClip]) -> AudioBatch:

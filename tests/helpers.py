@@ -12,6 +12,16 @@ needs_openblas = pytest.mark.skipif(
     reason="numpy does not run on its bundled OpenBLAS")
 
 
+def drop_pools() -> None:
+    """Shut down every worker pool blas.run_pinned has made and forget it,
+    so that the next fan-out makes its pool and starts its thread anew.
+    blas._pool(n) of a width never used makes a pool with no thread, which
+    shuts down at once."""
+    for workers in range(1, 65):
+        blas._pool(workers).shutdown()
+    blas._pool.cache_clear()
+
+
 def finite_difference(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central finite-difference gradient of scalar f() w.r.t. array x.
 

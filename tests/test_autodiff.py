@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -260,6 +261,46 @@ class TestBatchOps:
             with ad.rowwise(False):
                 blocks = ad.stacked_matmul(x, w).data
             np.testing.assert_allclose(base, blocks, rtol=1e-12, atol=1e-12)
+
+    def test_tape_flags_belong_to_the_thread_that_sets_them(self,
+                                                           monkeypatch):
+        """While thread A holds no_grad() and rowwise() open, this thread
+        builds a graph whose parameters get gradients, and its
+        stacked_matmul runs one ROW_BLOCK-row GEMM, not a GEMV per row;
+        A still sees both of its flags afterwards."""
+        rng = np.random.default_rng(2)
+        x = _leaf(rng, ad.ROW_BLOCK, 6)
+        w = _leaf(rng, 6, 4)
+        held, release, calls, seen = (threading.Event(), threading.Event(),
+                                      [], {})
+        matmul = np.matmul
+
+        def spy(a, b, **kwargs):
+            calls.append((threading.get_ident(), np.ndim(a)))
+            return matmul(a, b, **kwargs)
+
+        def hold():
+            with ad.no_grad(), ad.rowwise():
+                held.set()
+                assert release.wait(5)
+                out = ad.stacked_matmul(x[:2], w)
+                seen["a"] = (threading.get_ident(), out.requires_grad)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        other = threading.Thread(target=hold)
+        other.start()
+        try:
+            assert held.wait(5)
+            ad.tsum(ad.stacked_matmul(x, w)).backward()
+        finally:
+            release.set()
+            other.join(5)
+        here = threading.get_ident()
+        assert [ndim for ident, ndim in calls if ident == here] == [2]
+        np.testing.assert_allclose(w.grad, x.data.T @ np.ones((ad.ROW_BLOCK, 4)))
+        assert x.grad is not None
+        assert seen == {"a": (other.ident, False)}
+        assert [ndim for ident, ndim in calls if ident == other.ident] == [1, 1]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_segment_matmul(self, seed):

@@ -22,7 +22,7 @@ from audioret.evaluation import MetricsReport, SeedAggregate
 from audioret.models import similarity
 from audioret.models.similarity import encode_clips, similarity_matrix
 from audioret.synthetic import make_synthetic_benchmark, make_word_table
-from helpers import needs_openblas
+from helpers import drop_pools, needs_openblas
 
 TINY_MODEL = dict(text_clusters=2, text_ghost=1, audio_clusters=2,
                   audio_ghost=0, joint_dim=8)
@@ -561,6 +561,18 @@ def test_study_section_typo_rejected(section, key):
         bn.experiment_from_sections(sections)
 
 
+@pytest.mark.parametrize("section", ["sacle", "trian", "note"])
+def test_unknown_config_section_rejected(section):
+    """A section that is neither the experiment's nor a study's fails,
+    rather than running the study's defaults."""
+    sections = bn.parse_config(
+        "experiment.dataset = synthetic\nexperiment.arch = moee\n"
+        f"experiment.experts = ea\n{section}.fractions = 0.5\n")
+    with pytest.raises(ValueError,
+                       match=f"unknown config section '{section}'"):
+        bn.experiment_from_sections(sections)
+
+
 @pytest.mark.parametrize("section, key", [("train", "epoch"),
                                           ("train", "seed"),
                                           ("loss", "margn"),
@@ -863,28 +875,36 @@ def paper_text():
 def test_search_branches_on_workers_keep_hits_and_scores(arch, bundle,
                                                          two_threads,
                                                          monkeypatch):
-    """Forcing the expert branches onto the Searcher's worker and keeping
-    them in the caller give the same hits with bitwise the same scores."""
-    runs = []
+    """Handing the expert branches to the worker pool and keeping them in
+    the caller give the same hits with bitwise the same scores."""
+    runs, widths = [], []
+    run_pinned = blas.run_pinned
+    monkeypatch.setattr(blas, "run_pinned",
+                        lambda tasks, width: widths.append(width)
+                        or run_pinned(tasks, width))
     for cutoff in (0, 1 << 62):
         monkeypatch.setattr(similarity, "POOL_MIN_WEIGHTS", cutoff)
         searcher = _searcher(arch, bundle, **SMALL[arch])
-        assert (searcher._workers is None) == bool(cutoff)
+        widths.clear()
         runs.append([searcher.search(q, top_k=16) for q in QUERIES])
+        assert widths == [1 if cutoff else 2] * len(QUERIES)
     assert runs[0] == runs[1]
+
+
+PAPER_CE = dict(text_clusters=20, text_ghost=1, audio_clusters=2,
+                audio_ghost=0, joint_dim=512)
 
 
 @needs_openblas
 def test_paper_width_searcher_keeps_one_worker(paper_text, two_threads,
                                                thread_starts):
-    """A CE text unit of 6000 x 512 fans out: its Searcher starts one worker
-    at its first query and no thread over the next thousand."""
-    searcher = _searcher("ce", paper_text, text_clusters=20, text_ghost=1,
-                         audio_clusters=2, audio_ghost=0, joint_dim=512)
+    """A CE text unit of 6000 x 512 fans out: from no pool, its Searcher's
+    init and first query start the pool's one worker, and the next
+    thousand queries start no thread."""
+    searcher = _searcher("ce", paper_text, **PAPER_CE)
     assert searcher.model.text_units["ea"].w1.data.shape == (512, 6000)
-    thread_starts.clear()
     first = searcher.search("w001 w002 w003", top_k=4)
-    assert thread_starts == list(searcher._workers._threads)
+    assert thread_starts == list(blas._pool(1)._threads)
     assert len(thread_starts) == 1
     for i in range(1000):
         searcher.search(f"w{i % 50:03d} w{(7 * i) % 50:03d}", top_k=4)
@@ -893,21 +913,41 @@ def test_paper_width_searcher_keeps_one_worker(paper_text, two_threads,
 
 
 @needs_openblas
+def test_searcher_and_evaluation_share_one_worker(paper_text, two_threads,
+                                                  thread_starts):
+    """At paper-width CE, a Searcher's init, two similarity matrices and a
+    hundred queries all fan out on one pool and start one thread in all."""
+    searcher = _searcher("ce", paper_text, **PAPER_CE)
+    cfg = tr.TrainConfig("ce", steps=0, word_cap=21)
+    _, texts, clips = tr.stage_split(paper_text.corpus, "test",
+                                     paper_text.store, paper_text.text_source,
+                                     ("ea", "eb"), cfg)
+    for _ in range(2):
+        similarity_matrix(searcher.model, list(texts.values()),
+                          list(clips.values()))
+    for i in range(100):
+        searcher.search(f"w{i % 50:03d} w{(3 * i) % 50:03d}", top_k=4)
+    assert len(thread_starts) == 1
+
+
+@needs_openblas
 @pytest.mark.parametrize("arch", ["ce", "mmt"])
 def test_small_text_unit_searcher_starts_no_thread(arch, bundle, paper_text,
                                                    two_threads, thread_starts):
     """A synthetic-size model and MMT, whose text unit at paper width is
-    300 x 512, search in the caller and start no thread."""
+    300 x 512, search in the caller and start no thread, even with no pool
+    left to reuse."""
     if arch == "mmt":
         searcher = _searcher("mmt", paper_text, layers=1, ff_dim=64,
                              max_frames=8)
         assert searcher.model.text_units["ea"].w1.data.shape == (512, 300)
-        thread_starts.clear()  # its audio side is large enough for the pool
+        drop_pools()  # its audio side is large enough for the pool
+        thread_starts.clear()
     else:
         searcher = _searcher("ce", bundle, **TINY_MODEL)
     for query in QUERIES:
         searcher.search(query, top_k=3)
-    assert searcher._workers is None and thread_starts == []
+    assert thread_starts == []
 
 
 # ---------------------------------------------------------------------------
@@ -978,8 +1018,9 @@ def test_cli_transfer_needs_source(rig, tmp_path, capsys):
 @pytest.mark.parametrize("extra, message", [
     ("scale.fraction = 0.5\n", "unknown scale key 'fraction'"),
     ("train.epoch = 2\n", "unknown train key 'epoch'"),
-    ("model.joint_dimm = 8\n", "unknown model key 'joint_dimm'")],
-    ids=["scale", "train", "model"])
+    ("model.joint_dimm = 8\n", "unknown model key 'joint_dimm'"),
+    ("sacle.fractions = 0.5\n", "unknown config section 'sacle'")],
+    ids=["scale", "train", "model", "section"])
 def test_cli_config_typo_exits_one_before_writing(tmp_path, capsys, extra,
                                                   message):
     cfg_path = tmp_path / "exp.cfg"

@@ -106,24 +106,29 @@ def _recording_task(value, seen, delay=0.0):
 
 
 @needs_openblas
-def test_run_pinned_runs_tasks_on_pinned_workers_in_order(two_threads):
+def test_run_pinned_runs_tasks_on_pinned_workers_in_order(two_threads,
+                                                          thread_starts):
+    """At width 2 the caller runs task 0 and the rest run on the pool's one
+    worker or are taken back by the caller, every one pinned, results in
+    task order."""
     seen = []
     tasks = [_recording_task(i, seen, 0.002) for i in range(8)]
     assert blas.run_pinned(tasks, 2) == list(range(8))
+    (worker,) = thread_starts
     assert len(seen) == 8 and {count for _, count in seen} == {1}
-    assert threading.get_ident() not in {ident for ident, _ in seen}
+    assert {ident for ident, _ in seen} <= {threading.get_ident(), worker.ident}
     assert _threads() == 2
 
 
 @needs_openblas
-def test_run_pinned_serial_runs_in_the_caller(two_threads, monkeypatch):
-    seen, started = [], []
-    monkeypatch.setattr(threading.Thread, "start",
-                        lambda self: started.append(self))
+def test_run_pinned_serial_runs_in_the_caller(two_threads, thread_starts):
+    """At width 1, or with one task, every task runs in the caller and no
+    thread starts."""
+    seen = []
     tasks = [_recording_task(i, seen) for i in range(3)]
     assert blas.run_pinned(tasks, 1) == [0, 1, 2]
     assert blas.run_pinned(tasks[:1], 2) == [0]
-    assert started == []
+    assert thread_starts == []
     assert seen == [(threading.get_ident(), 1)] * 4
     assert _threads() == 2
 
@@ -149,68 +154,50 @@ def test_run_pinned_waits_for_every_task_when_one_fails(two_threads):
 
 
 @needs_openblas
-def test_run_pinned_on_runs_the_first_task_in_the_caller(two_threads):
-    """The caller runs task 0; the rest run on the executor's worker or are
-    taken back by the caller, every one of them pinned, results in order."""
-    from concurrent.futures import ThreadPoolExecutor
-    ran = {}
+def test_run_pinned_runs_the_first_task_in_the_caller(two_threads):
+    """The caller runs task 0 while a worker runs task 1: task 0 returns
+    only once task 1 has started elsewhere, so neither can be taken back
+    into the caller before the other."""
+    ran, started = {}, threading.Event()
 
     def task(i):
         def run():
-            time.sleep(0.002)
+            if i == 0:
+                assert started.wait(5)
+            else:
+                started.set()
             ran[i] = (threading.get_ident(), _threads())
             return i
         return run
 
-    with ThreadPoolExecutor(1) as workers:
-        assert blas.run_pinned_on(workers, [task(i) for i in range(4)]) == \
-            [0, 1, 2, 3]
-        (worker,) = workers._threads
+    assert blas.run_pinned([task(i) for i in range(2)], 2) == [0, 1]
     assert ran[0] == (threading.get_ident(), 1)
-    assert sorted(ran) == [0, 1, 2, 3]
-    assert {count for _, count in ran.values()} == {1}
-    assert {ident for ident, _ in ran.values()} <= {threading.get_ident(),
-                                                    worker.ident}
+    assert ran[1][0] != threading.get_ident() and ran[1][1] == 1
     assert _threads() == 2
 
 
 @needs_openblas
-def test_run_pinned_on_without_an_executor_runs_in_the_caller(two_threads,
-                                                              monkeypatch):
-    seen, started = [], []
-    monkeypatch.setattr(threading.Thread, "start",
-                        lambda self: started.append(self))
-    tasks = [_recording_task(i, seen) for i in range(3)]
-    assert blas.run_pinned_on(None, tasks) == [0, 1, 2]
-    assert started == []
-    assert seen == [(threading.get_ident(), 1)] * 3
-    assert _threads() == 2
-
-
-@needs_openblas
-def test_run_pinned_on_takes_back_tasks_no_worker_started(two_threads):
-    """With the only worker blocked, the caller runs every task itself and
-    returns; the blocker's wait is bounded, so a helper that waited for
-    the worker instead would fail the test, not hang it."""
-    from concurrent.futures import ThreadPoolExecutor
+def test_run_pinned_takes_back_tasks_no_worker_started(two_threads):
+    """With the pool's only worker blocked, the caller runs every task
+    itself and returns; the blocker's wait is bounded, so a runner that
+    waited for the worker instead would fail the test, not hang it."""
     release, seen = threading.Event(), []
-    with ThreadPoolExecutor(1) as workers:
-        blocker = workers.submit(release.wait, 30)
-        try:
-            tasks = [_recording_task(i, seen) for i in range(3)]
-            assert blas.run_pinned_on(workers, tasks) == [0, 1, 2]
-            assert not blocker.done()
-        finally:
-            release.set()
+    blocker = blas._pool(1).submit(release.wait, 30)
+    try:
+        tasks = [_recording_task(i, seen) for i in range(3)]
+        assert blas.run_pinned(tasks, 2) == [0, 1, 2]
+        assert not blocker.done()
+    finally:
+        release.set()
     assert seen == [(threading.get_ident(), 1)] * 3
     assert _threads() == 2
 
 
 @needs_openblas
-def test_run_pinned_on_waits_for_every_task_when_one_fails(two_threads):
-    """A failing task fails the call only after the others have finished,
-    with the first failure in task order raised and the count restored."""
-    from concurrent.futures import ThreadPoolExecutor
+def test_run_pinned_waits_for_a_failing_worker_task(two_threads):
+    """A task failing on the worker fails the call only after the caller's
+    tasks have finished, with the first failure in task order raised and
+    the count restored."""
     done, started = [], threading.Event()
 
     def task(i):
@@ -225,11 +212,34 @@ def test_run_pinned_on_waits_for_every_task_when_one_fails(two_threads):
                 raise KeyError(f"task {i}")
         return run
 
-    with ThreadPoolExecutor(1) as workers:
-        with pytest.raises(KeyError, match="task 1"):
-            blas.run_pinned_on(workers, [task(i) for i in range(3)])
-        assert sorted(done) == [0, 1, 2]
+    with pytest.raises(KeyError, match="task 1"):
+        blas.run_pinned([task(i) for i in range(3)], 2)
+    assert sorted(done) == [0, 1, 2]
     assert _threads() == 2
+
+
+@needs_openblas
+def test_run_pinned_tasks_see_the_callers_autodiff_flags(two_threads):
+    """A task handed to a worker inside no_grad() and rowwise() sees both
+    flags, as the task the caller runs does."""
+    modes, started = {}, threading.Event()
+
+    def task(i):
+        def run():
+            if i == 0:
+                assert started.wait(5)
+            else:
+                started.set()
+            modes[i] = (threading.get_ident(), ad._GRAD_MODE.get(),
+                        ad._ROW_MODE.get())
+        return run
+
+    with ad.no_grad(), ad.rowwise():
+        blas.run_pinned([task(i) for i in range(2)], 2)
+    assert modes[0] == (threading.get_ident(), False, True)
+    assert modes[1][0] != threading.get_ident()
+    assert modes[1][1:] == (False, True)
+    assert (ad._GRAD_MODE.get(), ad._ROW_MODE.get()) == (True, False)
 
 
 @needs_openblas

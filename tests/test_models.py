@@ -562,7 +562,7 @@ def test_only_single_item_batches_run_rowwise(arch, monkeypatch):
     stacked_matmul = ad.stacked_matmul
 
     def spy(x, w, *rest):
-        modes.append(ad._ROWWISE)
+        modes.append(ad._ROW_MODE.get())
         return stacked_matmul(x, w, *rest)
 
     monkeypatch.setattr(ad, "stacked_matmul", spy)
@@ -648,27 +648,26 @@ def test_failing_worker_restores_blas_and_grad_mode(two_threads, monkeypatch):
         md.similarity_matrix(model, texts, clips)
     assert sorted(finished) == ["c0", "c48", "c72"]
     assert blas.describe()["threads"] == 2
-    assert ad._GRAD_ENABLED
+    assert ad._GRAD_MODE.get()
 
 
 @needs_openblas
 @pytest.mark.parametrize("arch", ["moee", "ce", "mmt"])
 def test_query_branches_on_a_worker_match_a_one_caption_matrix(arch,
-                                                                two_threads):
-    """A query's expert branches give the same bits on a worker as in the
-    caller, and both are the caption's row of a one-caption matrix, an
-    all-OOV caption included."""
-    from concurrent.futures import ThreadPoolExecutor
+                                                                two_threads,
+                                                                monkeypatch):
+    """A query's expert branches give the same bits handed to the pool as
+    in the caller, and both are the caption's row of a one-caption matrix,
+    an all-OOV caption included."""
     rng = np.random.default_rng(973)
     model, dim = _random_model(arch, rng)
     texts = [_random_caption(rng, dim, f"c{i}", 6, oov=i == 0) for i in range(4)]
     clips = [_random_clip(rng, model, f"a{j}", 6) for j in range(40)]
     pool = md.encode_clips(model, clips)
-    with ThreadPoolExecutor(1) as workers:
-        for text in texts:
-            want = md.similarity_matrix(model, [text], clips).values[0]
-            np.testing.assert_array_equal(
-                similarity.query_scores(model, text, pool, workers), want)
+    for text in texts:
+        want = md.similarity_matrix(model, [text], clips).values[0]
+        for cutoff in (0, 1 << 62):
+            monkeypatch.setattr(similarity, "POOL_MIN_WEIGHTS", cutoff)
             np.testing.assert_array_equal(
                 similarity.query_scores(model, text, pool), want)
 
@@ -679,11 +678,11 @@ def test_failing_branch_fails_the_query_after_the_others(two_threads,
     """A branch that raises on the worker fails the query only once the
     caller's and the other worker branch have finished, with the BLAS
     thread count, grad mode and row mode restored."""
-    from concurrent.futures import ThreadPoolExecutor
     rng = np.random.default_rng(974)
     model, dim = _random_model("ce", rng)
     clips = [_random_clip(rng, model, f"a{j}", 6) for j in range(8)]
     pool = md.encode_clips(model, clips)
+    monkeypatch.setattr(similarity, "POOL_MIN_WEIGHTS", 0)
     finished = []
 
     def slow(expert):
@@ -693,21 +692,21 @@ def test_failing_branch_fails_the_query_after_the_others(two_threads,
             time.sleep(0.05)
             finished.append(expert)
             return unit(x)
+        run.w1 = unit.w1  # query_scores sizes its fan-out by it
         return run
 
     def broken(x):
         raise RuntimeError("branch failed")
 
+    broken.w1 = model.text_units["q"].w1
     monkeypatch.setitem(model.text_units, "p", slow("p"))
     monkeypatch.setitem(model.text_units, "q", broken)
     monkeypatch.setitem(model.text_units, "r", slow("r"))
-    with ThreadPoolExecutor(1) as workers:
-        with pytest.raises(RuntimeError, match="branch failed"):
-            similarity.query_scores(model, _random_caption(rng, dim, "c", 6),
-                                    pool, workers)
-        assert sorted(finished) == ["p", "r"]
+    with pytest.raises(RuntimeError, match="branch failed"):
+        similarity.query_scores(model, _random_caption(rng, dim, "c", 6), pool)
+    assert sorted(finished) == ["p", "r"]
     assert blas.describe()["threads"] == 2
-    assert ad._GRAD_ENABLED and not ad._ROWWISE
+    assert ad._GRAD_MODE.get() and not ad._ROW_MODE.get()
 
 
 def test_encode_clips_rejects_an_empty_pool():
