@@ -8,9 +8,19 @@ Where numpy runs on another BLAS, or the symbols are missing,
 names no library.
 
 `run_pinned` shares tasks out on one pool per width, made once for the
-whole process; evaluation chunks and a search query's expert branches
-share it. Its workers never pin themselves: a lifelong pin would also
-pin training's GEMMs, which run outside run_pinned.
+whole process; evaluation chunks, a search query's expert branches and
+an optimizer update's shares use it. Its workers never pin themselves: a
+lifelong pin would also pin training's GEMMs, which run outside
+run_pinned.
+
+After a threaded BLAS call, OpenBLAS's own workers spin for about 2^28
+cycles (0.12 s on a 2-core host) before they sleep, and a pin does not
+stop them, so they take a core from the tasks of a fan-out that follows
+at once. `park()` stops them; the next threaded call after the pin
+starts them again, and they spin again after it. So park belongs only
+where a threaded call came just before, as in training after the
+backward pass; evaluation and search never call it, since every exit
+from their pins would leave a fresh spinner behind.
 """
 
 from __future__ import annotations
@@ -46,6 +56,18 @@ def _openblas():
     return get, set_, config
 
 
+@functools.cache
+def _thread_shutdown():
+    """OpenBLAS's blas_thread_shutdown_, or None."""
+    try:
+        shutdown = ctypes.CDLL(
+            np._core._multiarray_umath.__file__).blas_thread_shutdown_
+    except (AttributeError, OSError):
+        return None
+    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+    return shutdown
+
+
 @contextlib.contextmanager
 def one_thread():
     """Run the block's BLAS calls on one OpenBLAS thread, and yield the
@@ -71,6 +93,18 @@ def one_thread():
             _depth -= 1
             if _depth == 0:
                 set_(_saved)
+
+
+def park() -> None:
+    """Under a pin, stop OpenBLAS's idle worker threads, so that none spins
+    on a core the block's own tasks need; the first threaded call after
+    the pin starts them again. Outside a pin, or without the library's
+    blas_thread_shutdown_, it does nothing. Call it only after a threaded
+    BLAS call (see the module docstring)."""
+    shutdown = _thread_shutdown()
+    with _lock:
+        if _depth and shutdown is not None:
+            shutdown()
 
 
 @functools.cache

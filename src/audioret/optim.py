@@ -16,30 +16,123 @@ the textbook formula's operations in the textbook order, so the results
 are the same bits as the whole-array expressions. Training hands every
 parameter a row-major gradient (stacked_matmul gives a weight's gradient
 the weight's own layout), so none is copied; a gradient that is not
-row-major, from a caller that builds one, is first copied to row-major
-in square blocks.
+row-major, from a caller that builds one, is copied to row-major a slice
+at a time.
+
+When the model's largest parameter has at least
+similarity.POOL_MIN_WEIGHTS entries (read at each step), a step shares
+its slices, WIDE_CHUNK elements long, out in near-equal runs, one per
+BLAS thread, through blas.run_pinned, each run with its own scratch; a smaller model's step
+runs in the caller and starts no thread. numpy's ufuncs release the GIL,
+so the runs share the cores, and an element's operations do not depend
+on its run, so the bits are the serial step's. A step that fans out
+first parks OpenBLAS's own workers (blas.park), which would otherwise
+spin on a core for about 0.12 s after the backward pass's threaded
+GEMMs; training holds the pin from the end of each backward pass through
+the step and any validation due.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import autodiff as ad
+from . import blas
+from .models import similarity
 
-# elements per slice of an update; a slice of each operand the rule
-# touches together (parameter, two moments, gradient, two scratch) fits
-# in a core's L2 cache
+# elements per slice of an update in the caller; a slice of each operand
+# the rule touches together (parameter, two moments, gradient, two
+# scratch) fits in a core's L2 cache
 CHUNK = 16384
-# side of the square blocks in which a gradient is copied to row-major
-COPY_BLOCK = 256
+# elements per slice of a step that fans out: the shares take the GIL
+# around each ufunc, and slices twice as long hand it over half as often
+# (the six operands' slices, 1.5 MB, still fit a 2 MB L2 cache)
+WIDE_CHUNK = 2 * CHUNK
+# the gradient slice of a parameter that has none, read by every share
+_ZEROS = np.zeros(WIDE_CHUNK)
+_ZEROS.flags.writeable = False
+
+
+def _shares(sizes: list[int], width: int) -> list[list[tuple[int, int, int]]]:
+    """`width` near-equal runs, in order, of the slices of arrays of these
+    sizes, CHUNK elements long or, when width > 1, WIDE_CHUNK, as (array
+    index, start, end) triples: a slice goes to the run its first element,
+    counted over all arrays, falls in."""
+    length = CHUNK if width == 1 else WIDE_CHUNK
+    total, offset = sum(sizes), 0
+    shares = [[] for _ in range(width)]
+    for k, size in enumerate(sizes):
+        for start in range(0, size, length):
+            shares[(offset + start) * width // total].append(
+                (k, start, min(start + length, size)))
+        offset += size
+    return shares
+
+
+def _width(params: dict[str, ad.Tensor]) -> int:
+    """How many shares a step over `params` runs in: the BLAS thread count
+    in force outside any pin when the largest parameter has at least
+    similarity.POOL_MIN_WEIGHTS entries, else 1."""
+    largest = max((p.data.size for p in params.values()), default=0)
+    if largest < similarity.POOL_MIN_WEIGHTS:
+        return 1
+    with blas.one_thread() as threads:
+        return threads
+
+
+def _share_scratch(params: dict[str, ad.Tensor], rows: int) -> list[np.ndarray]:
+    """`rows` scratch slices, as long as the longest slice any step over
+    `params` takes, for each share of a step over them."""
+    longest = max((p.data.size for p in params.values()), default=0)
+    return [np.empty((rows, min(WIDE_CHUNK, longest)))
+            for _ in range(_width(params))]
+
+
+def _fan_out(params: dict[str, ad.Tensor], work, scratch: list) -> None:
+    """work(share, scratch[i]) for each of the _width(params) _shares of
+    the params' slices: one in the caller, or several through
+    blas.run_pinned after parking OpenBLAS's workers. A share the scratch
+    list lacks gets a copy of its first entry's shape."""
+    sizes = [p.data.size for p in params.values()]
+    width = _width(params)
+    if width == 1:
+        work(*_shares(sizes, 1), scratch[0])
+        return
+    while len(scratch) < width:
+        scratch.append(np.empty_like(scratch[0]))
+    with blas.one_thread():
+        blas.park()
+        blas.run_pinned([functools.partial(work, share, buffers) for share, buffers
+                         in zip(_shares(sizes, width), scratch)], width)
+
+
+def _copy_row_major(g: np.ndarray, start: int, end: int, out: np.ndarray) -> None:
+    """Copy g's row-major elements start..end-1 into out: a part of a row
+    of g's leading axis at either end, and the whole rows between them in
+    one piece."""
+    per = g.size // g.shape[0]
+    first, last = -(-start // per), end // per
+    if first > last:  # inside one row
+        row, col = divmod(start, per)
+        out[: end - start] = g[row].reshape(-1)[col:col + end - start]
+        return
+    head, body = first * per - start, (last - first) * per
+    if head:
+        out[:head] = g[first - 1].reshape(-1)[per - head:]
+    out[head:head + body].reshape((last - first,) + g.shape[1:])[...] = \
+        g[first:last]
+    if head + body < end - start:
+        out[head + body:end - start] = g[last].reshape(-1)[:end - start - head - body]
 
 
 class Adam:
     """Adaptive moments with bias correction; optional L2 term in the grad.
 
-    The update runs in place, chunk by chunk, and gives the same bits as
-    the textbook formulas (see the module docstring); a gradient that is
-    not row-major is copied to row-major in blocks first."""
+    The update runs in place, chunk by chunk, shared out over the BLAS
+    threads for a large model, and gives the same bits as the textbook
+    formulas (see the module docstring)."""
 
     def __init__(self, params: dict[str, ad.Tensor], lr: float,
                  betas=(0.9, 0.999), eps: float = 1e-8,
@@ -57,31 +150,22 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        # two scratch slices and a zero slice standing in for a missing grad
-        self._scratch = np.zeros((3, CHUNK))
-        self._rows = np.empty(max((p.data.size for p in self.params.values()),
-                                  default=0))
+        # per share: two scratch slices and one for a slice of a gradient
+        # copied to row-major
+        self._scratch = _share_scratch(self.params, 3)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
     def _flat_grad(self, p: ad.Tensor) -> np.ndarray | None:
-        """p.grad as a flat row-major array (None when there is none)."""
+        """p.grad as a flat row-major array, p.grad itself when it is not
+        row-major (each slice of it is copied where it is updated), or
+        None."""
         g = p.grad
-        if g is None:
-            return None
-        if g.flags.c_contiguous:
-            return g.reshape(-1)
-        rows = self._rows[: g.size].reshape(g.shape)
-        if g.ndim == 2:
-            for i in range(0, g.shape[0], COPY_BLOCK):
-                for j in range(0, g.shape[1], COPY_BLOCK):
-                    rows[i:i + COPY_BLOCK, j:j + COPY_BLOCK] = \
-                        g[i:i + COPY_BLOCK, j:j + COPY_BLOCK]
-        else:
-            rows[...] = g
-        return rows.reshape(-1)
+        if g is None or not g.flags.c_contiguous:
+            return g
+        return g.reshape(-1)
 
     def _update(self, scale: float, adaptive: bool) -> None:
         """One step over every parameter, slice by slice:
@@ -91,16 +175,23 @@ class Adam:
         b1, b2, wd, eps = self.beta1, self.beta2, self.weight_decay, self.eps
         c1, c2 = 1.0 - b1, 1.0 - b2
         bias1, bias2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
-        a, b, zeros = self._scratch
-        for name, p in self.params.items():
-            x = p.data.reshape(-1)
-            m, v = self.m[name].reshape(-1), self.v[name].reshape(-1)
-            g = self._flat_grad(p)
-            for lo in range(0, x.size, CHUNK):
-                xc, mc, vc = (x[lo:lo + CHUNK], m[lo:lo + CHUNK],
-                              v[lo:lo + CHUNK])
-                ac, bc = a[: xc.size], b[: xc.size]
-                gc = zeros[: xc.size] if g is None else g[lo:lo + CHUNK]
+        flat = [(p.data.reshape(-1), self.m[name].reshape(-1),
+                 self.v[name].reshape(-1), self._flat_grad(p))
+                for name, p in self.params.items()]
+
+        def update_share(share, scratch) -> None:
+            a, b, rows = scratch
+            for k, start, end in share:
+                x, m, v, g = flat[k]
+                xc, mc, vc = x[start:end], m[start:end], v[start:end]
+                ac, bc = a[: end - start], b[: end - start]
+                if g is None:
+                    gc = _ZEROS[: end - start]
+                elif g.ndim == 1:
+                    gc = g[start:end]
+                else:
+                    gc = rows[: end - start]
+                    _copy_row_major(g, start, end, gc)
                 if wd:
                     # wd*x + g is g + wd*x: IEEE addition commutes
                     np.multiply(xc, wd, out=ac)
@@ -121,6 +212,8 @@ class Adam:
                     np.add(bc, eps, out=bc)
                     np.divide(ac, bc, out=ac)
                 np.subtract(xc, ac, out=xc)
+
+        _fan_out(self.params, update_share, self._scratch)
 
     def step(self) -> None:
         self.t += 1
@@ -159,7 +252,7 @@ class Lookahead:
         self.alpha = float(alpha)
         self.t = 0
         self.slow = {name: p.data.copy() for name, p in inner.params.items()}
-        self._scratch = np.empty(CHUNK)
+        self._scratch = _share_scratch(self.params, 1)
 
     @property
     def lr(self) -> float:
@@ -180,16 +273,21 @@ class Lookahead:
         self.inner.step()
         self.t += 1
         if self.t % self.k == 0:
-            # slow += alpha * (fast - slow); fast = slow, slice by slice
-            for name, p in self.inner.params.items():
-                x, s = p.data.reshape(-1), self.slow[name].reshape(-1)
-                for lo in range(0, x.size, CHUNK):
-                    xc, sc = x[lo:lo + CHUNK], s[lo:lo + CHUNK]
-                    d = self._scratch[: xc.size]
-                    np.subtract(xc, sc, out=d)
-                    np.multiply(d, self.alpha, out=d)
-                    np.add(sc, d, out=sc)
+            flat = [(p.data.reshape(-1), self.slow[name].reshape(-1))
+                    for name, p in self.params.items()]
+
+            def sync_share(share, scratch) -> None:
+                # slow += alpha * (fast - slow); fast = slow, slice by slice
+                for k, start, end in share:
+                    x, s = flat[k]
+                    xc, sc = x[start:end], s[start:end]
+                    dc = scratch[0, : end - start]
+                    np.subtract(xc, sc, out=dc)
+                    np.multiply(dc, self.alpha, out=dc)
+                    np.add(sc, dc, out=sc)
                     xc[...] = sc
+
+            _fan_out(self.params, sync_share, self._scratch)
 
 
 def build_optimizer(kind: str, params: dict[str, ad.Tensor], lr: float,

@@ -317,7 +317,7 @@ def train(model, corpus: Corpus, store, text_source, cfg: TrainConfig,
             raise ValueError("train split too small for one full batch")
         return batches
 
-    def run_batch(batch) -> None:
+    def run_batch(batch, validate: bool) -> None:
         nonlocal step
         texts = [train_texts[cid] for cid, _ in batch]
         clips = [train_clips[sid] for _, sid in batch]
@@ -329,28 +329,32 @@ def train(model, corpus: Corpus, store, text_source, cfg: TrainConfig,
             raise RuntimeError(f"training diverged: loss {value} at step {step}")
         opt.zero_grad()
         loss.backward()
-        opt.step()
-        window.append(value)
-        step += 1
+        del loss  # free the tape before a validation
+        # a step that fans out parks OpenBLAS's spinning workers (blas.park);
+        # the pin holds through the step and any due validation, so nothing
+        # starts them again before the next forward
+        with blas.one_thread():
+            opt.step()
+            window.append(value)
+            step += 1
+            if validate or (not by_epoch and (step % val_every == 0
+                                              or step == budget)):
+                run_validation()
 
     if budget == 0:
         run_validation()
     elif by_epoch:
         for epoch in range(budget):
             opt.lr = scheduled_lr(cfg.lr, cfg.lr_decay, epoch)
-            for batch in full_batches():
-                run_batch(batch)
-            run_validation()
+            batches = full_batches()
+            for i, batch in enumerate(batches):
+                run_batch(batch, i == len(batches) - 1)
     else:
         while step < budget:
             for batch in full_batches():
-                run_batch(batch)
-                if step % val_every == 0:
-                    run_validation()
+                run_batch(batch, False)
                 if step >= budget:
                     break
-        if not history or history[-1][0] != step:
-            run_validation()
 
     if cfg.log_path:
         Path(cfg.log_path).write_text(

@@ -389,6 +389,34 @@ def test_benchmark_rerun_hits_cache_bitwise(rig, bundle):
     assert again.to_text() == table.to_text()
 
 
+def test_run_key_names_the_blas_thread_count(rig, bundle, monkeypatch):
+    """Training's bits depend on the BLAS thread count, so a seed cached at
+    one count is not served at another; at the same count it is."""
+    cfg, table = rig
+    before = cfg.run_key()
+    monkeypatch.setattr(tr, "train", lambda *a, **kw: pytest.fail("trained"))
+    assert bn.run_benchmark(cfg, data=bundle).to_csv() == table.to_csv()
+    info = blas.describe()
+    monkeypatch.setattr(blas, "describe",
+                        lambda: info | {"threads": (info["threads"] or 1) + 1})
+    assert cfg.run_key() != before
+    with pytest.raises(pytest.fail.Exception, match="trained"):
+        bn.run_benchmark(cfg, data=bundle)
+
+
+def test_study_rejects_train_log_path_before_writing(bundle, tmp_path,
+                                                     monkeypatch):
+    """Every seed of a study would overwrite one train.log_path file, so a
+    study refuses it and points at each seed artifact's log."""
+    monkeypatch.setattr(tr, "train", lambda *a, **kw: pytest.fail("trained"))
+    cfg = tiny_config(tmp_path / "runs",
+                      train=TINY_TRAIN | {"log_path": str(tmp_path / "t.log")})
+    with pytest.raises(ValueError, match="'log_path'.*'log'"):
+        bn.run_benchmark(cfg, data=bundle)
+    assert not (tmp_path / "runs").exists()
+    assert not (tmp_path / "t.log").exists()
+
+
 def test_benchmark_table_is_built_from_stored_artifacts(rig, bundle, tmp_path):
     cfg, _ = rig
     src = Path(cfg.out_dir) / cfg.run_key()
@@ -1019,8 +1047,9 @@ def test_cli_transfer_needs_source(rig, tmp_path, capsys):
     ("scale.fraction = 0.5\n", "unknown scale key 'fraction'"),
     ("train.epoch = 2\n", "unknown train key 'epoch'"),
     ("model.joint_dimm = 8\n", "unknown model key 'joint_dimm'"),
-    ("sacle.fractions = 0.5\n", "unknown config section 'sacle'")],
-    ids=["scale", "train", "model", "section"])
+    ("sacle.fractions = 0.5\n", "unknown config section 'sacle'"),
+    ("train.log_path = t.log\n", "train key 'log_path' does not work")],
+    ids=["scale", "train", "model", "section", "log_path"])
 def test_cli_config_typo_exits_one_before_writing(tmp_path, capsys, extra,
                                                   message):
     cfg_path = tmp_path / "exp.cfg"

@@ -8,6 +8,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import audioret.autodiff as ad
@@ -318,3 +319,35 @@ def test_similarity_matrix_ignores_blas_thread_count():
     the same bits under both: every chunk runs on one pinned thread."""
     first, second = _digests(_MATRIX_DIGEST)
     assert first == second
+
+
+@needs_openblas
+def test_park_acts_only_under_a_pin(monkeypatch):
+    calls = []
+    monkeypatch.setattr(blas, "_thread_shutdown", lambda: lambda: calls.append(1))
+    blas.park()
+    with blas.one_thread():
+        blas.park()
+    blas.park()
+    assert calls == [1]
+
+
+def test_park_without_the_symbol_does_nothing(monkeypatch):
+    monkeypatch.setattr(blas, "_thread_shutdown", lambda: None)
+    with blas.one_thread():
+        blas.park()
+
+
+@needs_openblas
+def test_threaded_gemm_after_a_park_keeps_its_bits(two_threads):
+    """park stops OpenBLAS's workers; the pin's exit restores the thread
+    count, and the next threaded GEMM starts them and gives the same bits."""
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal((600, 600)), rng.standard_normal((600, 600))
+    before = a @ b
+    with blas.one_thread():
+        blas.park()
+        blas.park()  # a second park, with no worker left, is harmless
+        assert _threads() == 1
+    assert _threads() == 2
+    assert (a @ b).tobytes() == before.tobytes()

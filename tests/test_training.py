@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from audioret import autodiff as ad
+from audioret import blas
 from audioret import models as md
 from audioret import optim
 from audioret import training as tr
 from audioret.checkpoint import load_checkpoint, save_checkpoint
 from audioret.evaluation import MetricsReport
-from audioret.models import blocks, mmt
+from audioret.models import blocks, mmt, similarity
 from audioret.synthetic import make_synthetic_benchmark
+from helpers import needs_openblas
 
 
 def tiny_model(arch, bench, seed=0, **extra):
@@ -286,6 +288,118 @@ class TestInPlaceUpdate:
         leaf = ad.Tensor(np.zeros((3, 4)).T, requires_grad=True)
         with pytest.raises(ValueError, match="C-contiguous"):
             optim.Adam({"w": leaf}, lr=0.01)
+
+
+# (shape, gradient layout) of a model whose update is shared out: the
+# 600 x 300 weight's transposed gradient straddles the two shares' cut, and
+# the 3 x 5 x 4 one, in the first share, is copied in the same step
+_FAN_OUT_MODEL = [((7,), "row"), ((3, 5, 4), "transposed"),
+                  ((600, 300), "transposed"), ((3, optim.CHUNK // 2), "none"),
+                  ((2 * optim.CHUNK + 5,), "row")]
+
+
+def _fan_out_run(kind, wd, steps, cutoff, monkeypatch, only=None):
+    """The optimizer after `steps` steps with the fan-out cut-off at
+    `cutoff`, over _FAN_OUT_MODEL's parameters or only parameter `only`,
+    and the widths blas.run_pinned was called with."""
+    monkeypatch.undo()  # an earlier run's spy and cut-off
+    monkeypatch.setattr(similarity, "POOL_MIN_WEIGHTS", cutoff)
+    widths, run_pinned = [], blas.run_pinned
+    monkeypatch.setattr(blas, "run_pinned", lambda tasks, width: widths.append(
+        width) or run_pinned(tasks, width))
+    rng = np.random.default_rng(17)
+    leaves = {f"p{i}": ad.Tensor(rng.standard_normal(shape), requires_grad=True)
+              for i, (shape, _) in enumerate(_FAN_OUT_MODEL)}
+    opt = optim.build_optimizer(
+        kind, leaves if only is None else {only: leaves[only]}, lr=0.01,
+        weight_decay=wd, lookahead_k=4)
+    for _ in range(steps):
+        for leaf, (shape, layout) in zip(leaves.values(), _FAN_OUT_MODEL):
+            leaf.grad = (None if layout == "none" else
+                         rng.standard_normal(shape[::-1]).T
+                         if layout == "transposed" else
+                         rng.standard_normal(shape))
+        opt.step()
+    return opt, widths
+
+
+def _state(opt, name) -> list[bytes]:
+    """A parameter's value, moments and slow weights, as bytes."""
+    inner = getattr(opt, "inner", opt)
+    return [opt.params[name].data.tobytes(), inner.m[name].tobytes(),
+            inner.v[name].tobytes()] + (
+        [opt.slow[name].tobytes()] if hasattr(opt, "slow") else [])
+
+
+@needs_openblas
+class TestFanOutUpdate:
+    """A step shared out over two BLAS threads gives each parameter the
+    bits of a serial step, of the whole model or of that parameter alone."""
+
+    @pytest.mark.parametrize("wd", [0.0, 0.01])
+    @pytest.mark.parametrize("kind,steps", [("adam", 4), ("radam", 8),
+                                            ("lookahead_radam", 9)])
+    def test_shares_match_the_serial_step_bytewise(self, kind, steps, wd,
+                                                   two_threads, monkeypatch):
+        # radam's 8 steps cross into its rectified branch; lookahead syncs
+        # at steps 4 and 8
+        serial, narrow = _fan_out_run(kind, wd, steps, 1 << 62, monkeypatch)
+        shared, wide = _fan_out_run(kind, wd, steps, 0, monkeypatch)
+        assert narrow == [] and set(wide) == {2}
+        for name in serial.params:
+            alone, _ = _fan_out_run(kind, wd, steps, 1 << 62, monkeypatch, name)
+            assert _state(shared, name) == _state(serial, name)
+            assert _state(shared, name) == _state(alone, name)
+
+    def test_shares_cover_every_slice_once_in_order(self):
+        sizes = [7, 60, 180000, 3 * optim.CHUNK // 2, 2 * optim.WIDE_CHUNK + 5]
+        for width in (1, 2, 3, 8):
+            length = optim.CHUNK if width == 1 else optim.WIDE_CHUNK
+            slices = [(k, start, min(start + length, size))
+                      for k, size in enumerate(sizes)
+                      for start in range(0, size, length)]
+            shares = optim._shares(sizes, width)
+            assert len(shares) == width
+            assert [run for share in shares for run in share] == slices
+            for share in shares:
+                count = sum(end - start for _, start, end in share)
+                assert abs(count - sum(sizes) / width) <= length
+
+    def test_synthetic_training_starts_no_thread_and_never_parks(
+            self, two_threads, thread_starts, monkeypatch):
+        parks = []
+        monkeypatch.setattr(blas, "park", lambda: parks.append(1))
+        bench = make_synthetic_benchmark(np.random.default_rng(0), n_pairs=8)
+        tr.train(tiny_model("moee", bench), bench.corpus, bench.store,
+                 bench.text_source,
+                 _train_cfg(epochs=None, steps=3, val_every_steps=2,
+                            optimizer="lookahead_radam", lookahead_k=2),
+                 tr.LossConfig(batch_size=4))
+        assert thread_starts == [] and parks == []
+
+    def test_large_model_update_and_validation_start_one_thread(
+            self, two_threads, thread_starts, monkeypatch):
+        """A 512 x 512 weight (2^18 entries) fans the updates and the
+        validations out on the one pool worker."""
+        park, parked = blas.park, []
+        monkeypatch.setattr(blas, "park", lambda: parked.append(
+            blas.describe()["threads"]) or park())
+        validate, validated = tr._validate, []
+        monkeypatch.setattr(tr, "_validate", lambda *a: validated.append(
+            blas.describe()["threads"]) or validate(*a))
+        bench = make_synthetic_benchmark(np.random.default_rng(0), n_pairs=8)
+        ckpt = tr.train(tiny_model("moee", bench, joint_dim=512), bench.corpus,
+                        bench.store, bench.text_source,
+                        _train_cfg(epochs=None, steps=2, val_every_steps=1,
+                                   optimizer="lookahead_radam", lookahead_k=2),
+                        tr.LossConfig(batch_size=4))
+        assert [entry[0] for entry in ckpt.history] == [1, 2]
+        # two updates and one lookahead sync park, and both validations
+        # run, under the pin train holds from each backward's end
+        assert parked == [1, 1, 1] and validated == [1, 1]
+        assert len(thread_starts) == 1
+        assert thread_starts[0].name.startswith("audioret-pinned")
+        assert blas.describe()["threads"] == 2
 
 
 @pytest.mark.parametrize("arch", ["moee", "ce", "mmt"])
