@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import threading
 from collections.abc import Sequence
 
 import numpy as np
@@ -37,14 +38,15 @@ def no_grad():
 def rowwise(enabled: bool = True):
     """With `enabled`, stacked_matmul's forward pass inside the block
     multiplies each row on its own, one BLAS GEMV per row, instead of in
-    zero-padded ROW_BLOCK-row GEMMs, and the block's BLAS calls run on one
-    pinned OpenBLAS thread (`blas.one_thread`). A single item then costs
-    one pass over each weight rather than a whole block, and it never
-    waits on a second BLAS thread: on a shared host a threaded product
-    stalls whenever either core is busy. Its bits can differ from a
-    block's in the last place, so an encoder uses it for a whole batch of
-    one item and never for part of a batch. The flag holds in the calling
-    thread only; the pin, like the thread count, is process-wide."""
+    GEMMs over the batch (zero-padded ROW_BLOCK-row blocks, or one checked
+    GEMM), and the block's BLAS calls run on one pinned OpenBLAS thread
+    (`blas.one_thread`). A single item then costs one pass over each
+    weight rather than a GEMM, and it never waits on a second BLAS
+    thread: on a shared host a threaded product stalls whenever either
+    core is busy. Its bits can differ from a block's in the last place, so
+    an encoder uses it for a whole batch of one item and never for part of
+    a batch. The flag holds in the calling thread only; the pin, like the
+    thread count, is process-wide."""
     token = _ROW_MODE.set(enabled)
     try:
         with blas.one_thread() if enabled else contextlib.nullcontext():
@@ -294,18 +296,35 @@ def pairwise_inner(a, b, b_tiles: np.ndarray | None = None) -> Tensor:
     return _make(data, (a, b), backward)
 
 
-# rows per GEMM call in stacked_matmul's forward pass
+# rows per GEMM call in stacked_matmul's padded blocks
 ROW_BLOCK = 32
+# only a weight with at least this many columns is checked: a row that a
+# GEMM sums in another order differs from its block in most entries, but a
+# narrow row can match by chance (a 300 x 2 product's 2 x 2 output did in 2
+# of 20 draws), and a narrow product gains little from one GEMM
+CHECK_MIN_WIDTH = 64
+# a weight shape is checked at no more than this many row counts, so a
+# product whose row count changes with every batch stops checking after
+# its first few batches and keeps the padded blocks
+CHECKS_PER_SHAPE = 8
+# (K, N, weight layout, BLAS threads, rows) -> whether one GEMM over that
+# many rows gives every row its padded block's bits, as checked once by
+# this process; the shape part alone -> how many row counts were checked
+_ONE_GEMM: dict[tuple, bool] = {}
+_CHECKED: dict[tuple, int] = {}
+_check_lock = threading.Lock()
 
 
 def stacked_matmul(x, w, offsets=None, bias=None) -> Tensor:
     """x @ w (+ bias) for every row of x (any leading shape, last axis K)
     with a K x N matrix w.
 
-    The forward pass runs the rows through GEMMs of exactly ROW_BLOCK rows
-    (zero-padding the last), so a row's result is bitwise the same whatever
-    rows share its batch and wherever it sits; a GEMM's own per-row result
-    changes with its row count. With `offsets`, each row segment
+    A row's forward result has the bits it gets in a GEMM of exactly
+    ROW_BLOCK rows (the last block zero-padded), so it is bitwise the same
+    whatever rows share its batch and wherever it sits; a GEMM's own
+    per-row result can change with its row count. Where this process has
+    checked that one GEMM over all the rows gives those bits (_batch_gemm),
+    the rows take that one GEMM instead. With `offsets`, each row segment
     offsets[i]:offsets[i + 1] is instead one GEMM over its own rows, so a
     segment's result is bitwise that of the segment multiplied alone.
     Inside `rowwise()` it is one GEMV per row instead: a row's result is
@@ -328,14 +347,7 @@ def stacked_matmul(x, w, offsets=None, bias=None) -> Tensor:
         for lo, hi in _segment_bounds(offsets):
             np.matmul(rows[lo:hi], w.data, out=out[lo:hi])
     else:
-        full = n - n % ROW_BLOCK
-        for start in range(0, full, ROW_BLOCK):
-            stop = start + ROW_BLOCK
-            np.matmul(rows[start:stop], w.data, out=out[start:stop])
-        if full < n:
-            tail = np.zeros((ROW_BLOCK, rows.shape[1]))
-            tail[: n - full] = rows[full:]
-            out[full:] = (tail @ w.data)[: n - full]
+        _batch_gemm(rows, w.data, out)
     data = out.reshape(x.shape[:-1] + (w.shape[1],))
     bias = None if bias is None else as_tensor(bias)
     if bias is not None:
@@ -348,6 +360,74 @@ def stacked_matmul(x, w, offsets=None, bias=None) -> Tensor:
         return gx, gw, None if bias is None else _unbroadcast(g, bias.shape)
 
     return _make(data, (x, w) if bias is None else (x, w, bias), backward)
+
+
+def _blocks(rows: np.ndarray, w: np.ndarray, out: np.ndarray,
+            starts=None) -> None:
+    """out = rows @ w in GEMMs of exactly ROW_BLOCK rows, the last block
+    zero-padded: the blocks that start at `starts`, or all of them."""
+    n = rows.shape[0]
+    for start in range(0, n, ROW_BLOCK) if starts is None else starts:
+        stop = start + ROW_BLOCK
+        if stop <= n:
+            np.matmul(rows[start:stop], w, out=out[start:stop])
+        else:
+            tail = np.zeros((ROW_BLOCK, rows.shape[1]))
+            tail[: n - start] = rows[start:]
+            out[start:] = (tail @ w)[: n - start]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float64 arrays hold the same bits, signed zeros and NaN
+    payloads included."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _batch_gemm(rows: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """out = rows @ w with the bits of padded ROW_BLOCK-row blocks: one GEMM
+    over all the rows where this process has checked that it gives them,
+    the blocks elsewhere.
+
+    Those bits depend on the kernel OpenBLAS picks for this CPU, so the
+    check is made per (K, N, weight layout, BLAS threads, rows), at the
+    key's first use (_check), and its verdict kept for the life of the
+    process. While one thread checks, another takes the blocks."""
+    n, (k, m) = rows.shape[0], w.shape
+    layout = "C" if w.flags.c_contiguous else "F" if w.flags.f_contiguous else ""
+    shape = (k, m, layout, blas.threads())
+    key = shape + (n,)
+    one_gemm = _ONE_GEMM.get(key)
+    if (one_gemm is None and 0 < n != ROW_BLOCK and m >= CHECK_MIN_WIDTH
+            and _check_lock.acquire(False)):
+        try:
+            if key not in _ONE_GEMM and _CHECKED.get(shape, 0) < CHECKS_PER_SHAPE:
+                _CHECKED[shape] = _CHECKED.get(shape, 0) + 1
+                _ONE_GEMM[key] = _check(rows, w, out)
+                return
+        finally:
+            _check_lock.release()
+    if one_gemm:
+        np.matmul(rows, w, out=out)
+    else:
+        _blocks(rows, w, out)
+
+
+def _check(rows: np.ndarray, w: np.ndarray, out: np.ndarray) -> bool:
+    """Whether one GEMM over all the rows gives the blocks holding the
+    first and the last row their blocks' bits; out gets the blocks' bits
+    either way. Those two blocks cost no more than the padded product the
+    one GEMM replaces."""
+    n = rows.shape[0]
+    ends = {0, (n - 1) // ROW_BLOCK * ROW_BLOCK}
+    blocks = np.empty_like(out)
+    _blocks(rows, w, blocks, ends)
+    np.matmul(rows, w, out=out)
+    if all(_same_bits(blocks[s:s + ROW_BLOCK], out[s:s + ROW_BLOCK])
+           for s in ends):
+        return True
+    _blocks(rows, w, blocks, set(range(0, n, ROW_BLOCK)) - ends)
+    out[...] = blocks
+    return False
 
 
 def _segment_bounds(offsets) -> list[tuple[int, int]]:

@@ -95,6 +95,13 @@ def one_thread():
                 set_(_saved)
 
 
+def threads() -> int | None:
+    """The OpenBLAS thread count in force now, 1 under a pin; None without
+    the library."""
+    api = _openblas()
+    return None if api is None else api[0]()
+
+
 def park() -> None:
     """Under a pin, stop OpenBLAS's idle worker threads, so that none spins
     on a core the block's own tasks need; the first threaded call after

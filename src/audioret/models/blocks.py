@@ -147,17 +147,23 @@ def canonical_rows(streams: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     Pooling frames in this order makes a descriptor exactly order-free, not
     just order-free up to float round-off. One sort orders every item's rows
     by their first column; an item with ties there takes the full lexsort.
+    Each item's rows are gathered straight into the output, the frames'
+    one copy.
     """
     lengths = [f.shape[0] for f in streams]
     offsets = np.cumsum([0] + lengths)
-    x = np.concatenate(streams)
+    first = np.concatenate([f[:, 0] for f in streams])
     item = np.repeat(np.arange(len(streams)), lengths)
-    order = np.lexsort((x[:, 0], item))
-    unresolved = ~(np.diff(x[order, 0]) > 0) & (np.diff(item) == 0)
+    order = np.lexsort((first, item))
+    unresolved = ~(np.diff(first[order]) > 0) & (np.diff(item) == 0)
     for b in np.unique(item[1:][unresolved]):
         lo, hi = offsets[b], offsets[b + 1]
         order[lo:hi] = lo + np.lexsort(streams[b].T[::-1])
-    return x[order], offsets
+    x = np.empty((offsets[-1], streams[0].shape[1]))
+    for frames, lo, hi in zip(streams, offsets[:-1], offsets[1:]):
+        # mode="clip" writes straight into x; the default buffers a copy
+        np.take(frames, order[lo:hi] - lo, axis=0, out=x[lo:hi], mode="clip")
+    return x, offsets
 
 
 class NetVlad:

@@ -1,5 +1,6 @@
 """Gradient checks for the reverse-mode tape against finite differences."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 
 from audioret import autodiff as ad
-from helpers import check_gradients, finite_difference, relative_grad_error
+from audioret import blas
+from helpers import (check_gradients, finite_difference, needs_openblas,
+                     relative_grad_error)
 
 
 def _leaf(rng, *shape):
@@ -600,6 +603,203 @@ def test_score_tiles_ignore_blas_thread_count(dim):
         assert result.returncode == 0, result.stderr[-2000:]
         digests.append(result.stdout.strip())
     assert digests[0] == digests[1]
+
+
+_BATCH_GEMM_BITS = """
+import contextlib, json
+import numpy as np
+from audioret import autodiff as ad, blas
+from audioret.experts import TextEmbedding
+from audioret.models import build_model, similarity
+
+DIMS = {"VGGish": 128, "VGGSound": 512}
+FRAMES = {"moee": (31, 95), "ce": (31, 95), "mmt": (95, 95)}
+rng = np.random.default_rng(18)
+per_item = {}  # (K, N, layout) -> rows per item in a batch of two
+record = ad._batch_gemm
+
+def spy(rows, w, out):
+    layout = "C" if w.flags.c_contiguous else "F"
+    per_item.setdefault((*w.shape, layout), set()).add(len(rows) // 2)
+    record(rows, w, out)
+
+ad._batch_gemm = spy
+for arch in ("moee", "ce", "mmt"):
+    model = build_model(arch, tuple(DIMS), DIMS, 300, rng)
+    captions = [TextEmbedding(f"c{i}", rng.standard_normal((21, 300)),
+                              np.ones(21, bool)) for i in range(2)]
+    streams = [{e: rng.standard_normal((n, DIMS[e]))
+                for e, n in zip(DIMS, FRAMES[arch])} for _ in range(2)]
+    model.encode_text(captions), model.encode_audio(streams)
+    del model
+ad._batch_gemm = record
+# items a row-count comes from: training batches (8 for moee and ce, 2 for
+# mmt, also a validation chunk), the chunks of a 200-clip x 1000-caption
+# pool, and the largest chunk
+items = {2, 8, similarity.ENCODE_CHUNK}
+for count in (200, 1000):
+    items |= {p.stop - p.start for p in similarity._chunks(count, 2)}
+ad.CHECKS_PER_SHAPE = 1 << 20  # check every row count, not only a shape's first
+failed = []
+for threads in ("threaded", "pinned"):
+    ad._ONE_GEMM.clear(), ad._CHECKED.clear()
+    with blas.one_thread() if threads == "pinned" else contextlib.nullcontext():
+        for (k, n, layout), spans in sorted(per_item.items()):
+            w = rng.standard_normal((k, n) if layout == "C" else (n, k))
+            w = w if layout == "C" else w.T
+            for m in sorted({2, 3} | {r * i for r in spans for i in items}):
+                for _ in range(2):  # the check, then its kept verdict
+                    x = rng.standard_normal((m, k))
+                    want = np.empty((m, n))
+                    ad._blocks(x, w, want)
+                    got = ad.stacked_matmul(x, w).data
+                    if not np.array_equal(got.view(np.uint64),
+                                          want.view(np.uint64)):
+                        failed.append([threads, k, n, layout, m])
+print(json.dumps({"shapes": len(per_item), "failed": failed}))
+"""
+
+
+@needs_openblas
+def test_paper_width_products_keep_the_padded_blocks_bits():
+    """Every weight shape and layout the three paper-width default models
+    pass to stacked_matmul gives the padded blocks' bits, threaded and
+    pinned at 2 BLAS threads, at the row counts that training batches and
+    evaluation chunks make and at 2 and 3 rows: at the first use of each
+    row count, which checks it, and at the second, which keeps its
+    verdict."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="2",
+               OMP_NUM_THREADS="2")
+    result = subprocess.run([sys.executable, "-c", _BATCH_GEMM_BITS],
+                            env=env, capture_output=True, text=True,
+                            timeout=600)
+    assert result.returncode == 0, result.stderr[-2000:]
+    report = json.loads(result.stdout.strip().splitlines()[-1])
+    assert report["shapes"] >= 17
+    assert report["failed"] == []
+
+
+def _fresh_verdicts(monkeypatch) -> None:
+    monkeypatch.setattr(ad, "_ONE_GEMM", {})
+    monkeypatch.setattr(ad, "_CHECKED", {})
+
+
+def _blocks_of(x, w):
+    out = np.empty((len(x), w.shape[1]))
+    ad._blocks(x, w, out)
+    return out
+
+
+def test_failed_check_keeps_the_blocks_and_its_verdict(monkeypatch):
+    """A check that finds unequal rows returns the blocks' bits and keeps
+    that verdict: the next call of the same key takes the blocks without a
+    check, a call of another row count is checked anew."""
+    _fresh_verdicts(monkeypatch)
+    rng = np.random.default_rng(180)
+    w = np.ascontiguousarray(rng.standard_normal((64, 300))).T
+    compared, blocks = [], []
+    monkeypatch.setattr(ad, "_same_bits", lambda a, b: compared.append(1) or False)
+    real_blocks = ad._blocks
+    monkeypatch.setattr(ad, "_blocks",
+                        lambda *args: blocks.append(1) or real_blocks(*args))
+    for rows, checked in ((40, True), (40, False), (41, True)):
+        x = rng.standard_normal((rows, 300))
+        want = _blocks_of(x, w)
+        compared.clear(), blocks.clear()
+        got = ad.stacked_matmul(x, w).data
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert bool(compared) == checked and blocks
+    key = (300, 64, "F", blas.threads())
+    assert ad._ONE_GEMM == {key + (40,): False, key + (41,): False}
+    assert ad._CHECKED == {key: 2}
+
+
+def test_row_counts_past_the_limit_keep_the_blocks(monkeypatch):
+    """A weight shape is checked at CHECKS_PER_SHAPE row counts at most;
+    the others take the blocks unchecked."""
+    _fresh_verdicts(monkeypatch)
+    rng = np.random.default_rng(181)
+    w = rng.standard_normal((20, ad.CHECK_MIN_WIDTH))
+    for rows in range(2, 2 + ad.CHECKS_PER_SHAPE + 3):
+        x = rng.standard_normal((rows, 20))
+        np.testing.assert_array_equal(ad.stacked_matmul(x, w).data,
+                                      _blocks_of(x, w))
+    assert len(ad._ONE_GEMM) == ad.CHECKS_PER_SHAPE
+    assert list(ad._CHECKED.values()) == [ad.CHECKS_PER_SHAPE]
+
+
+def test_two_first_uses_of_one_key_agree(monkeypatch):
+    """Two threads that reach an unchecked key at once end with one
+    verdict: one checks, and the other takes the blocks meanwhile without
+    waiting for it. Both get the blocks' bits."""
+    _fresh_verdicts(monkeypatch)
+    rng = np.random.default_rng(182)
+    w = np.ascontiguousarray(rng.standard_normal((96, 200))).T
+    xs = [rng.standard_normal((12, 200)) for _ in range(2)]
+    start, got, waited = threading.Barrier(2), {}, []
+    same_bits = ad._same_bits
+
+    def watching_same_bits(a, b):
+        # the other thread must finish while this one holds the check
+        other = next(t for t in threads if t is not threading.current_thread())
+        other.join(5)
+        waited.append(other.is_alive())
+        return same_bits(a, b)
+
+    def use(i):
+        start.wait(5)
+        got[i] = ad.stacked_matmul(xs[i], w).data
+
+    monkeypatch.setattr(ad, "_same_bits", watching_same_bits)
+    threads = [threading.Thread(target=use, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(10)
+    assert len(got) == 2 and waited == [False]
+    for i in range(2):
+        np.testing.assert_array_equal(got[i], _blocks_of(xs[i], w))
+    assert list(ad._ONE_GEMM) == [(200, 96, "F", blas.threads(), 12)]
+    assert ad._CHECKED == {(200, 96, "F", blas.threads()): 1}
+
+
+def test_many_threads_check_each_row_count_once(monkeypatch):
+    """Six threads, more than the cores, with a short switch interval,
+    multiply rows of every count from 2 to 13 against one weight: each
+    row count is checked at most once, the shape's check count equals its
+    kept verdicts, and every product has the blocks' bits."""
+    _fresh_verdicts(monkeypatch)
+    monkeypatch.setattr(ad, "CHECKS_PER_SHAPE", 100)
+    checked, check = [], ad._check
+    monkeypatch.setattr(ad, "_check", lambda rows, w, out:
+                        checked.append(len(rows)) or check(rows, w, out))
+    rng = np.random.default_rng(183)
+    w = rng.standard_normal((40, 64))
+    xs = [rng.standard_normal((rows, 40)) for rows in range(2, 14)]
+    wants = [_blocks_of(x, w) for x in xs]
+    wrong = []
+
+    def work():
+        for _ in range(20):
+            for x, want in zip(xs, wants):
+                if not np.array_equal(ad.stacked_matmul(x, w).data, want):
+                    wrong.append(len(x))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == [] and checked
+    assert len(checked) == len(set(checked)) == len(ad._ONE_GEMM)
+    assert ad._CHECKED == {(40, 64, "C", blas.threads()): len(checked)}
 
 
 class TestEngine:

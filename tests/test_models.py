@@ -601,7 +601,7 @@ def test_chunks_are_near_equal_and_never_single():
     for count in range(1, 200):
         for least in (1, 2, 3):
             sizes = [p.stop - p.start for p in similarity._chunks(count, least)]
-            assert sum(sizes) == count and max(sizes) <= 32
+            assert sum(sizes) == count and max(sizes) <= similarity.ENCODE_CHUNK
             assert max(sizes) - min(sizes) <= 1
             assert count == 1 or 1 not in sizes
             assert len(sizes) >= min(least, count // 2)
@@ -631,13 +631,16 @@ def test_failing_worker_restores_blas_and_grad_mode(two_threads, monkeypatch):
     restored."""
     rng = np.random.default_rng(972)
     model, dim = _random_model("ce", rng)
-    texts = [_random_caption(rng, dim, f"c{i}", 6) for i in range(96)]
+    texts = [_random_caption(rng, dim, f"c{i}", 6)
+             for i in range(3 * similarity.ENCODE_CHUNK)]
     clips = [_random_clip(rng, model, f"a{j}", 6) for j in range(40)]
     monkeypatch.setattr(similarity, "POOL_MIN_WEIGHTS", 0)
+    starts = [f"c{p.start}" for p in similarity._chunks(len(texts), 2)]
+    assert len(starts) == 4
     encode_text, finished = model.encode_text, []
 
     def flaky(captions):
-        if captions[0].caption_id == "c24":
+        if captions[0].caption_id == starts[1]:
             raise RuntimeError("encoder failed")
         time.sleep(0.05)
         finished.append(captions[0].caption_id)
@@ -646,7 +649,7 @@ def test_failing_worker_restores_blas_and_grad_mode(two_threads, monkeypatch):
     monkeypatch.setattr(model, "encode_text", flaky)
     with pytest.raises(RuntimeError, match="encoder failed"):
         md.similarity_matrix(model, texts, clips)
-    assert sorted(finished) == ["c0", "c48", "c72"]
+    assert sorted(finished) == sorted(starts[:1] + starts[2:])
     assert blas.describe()["threads"] == 2
     assert ad._GRAD_MODE.get()
 

@@ -49,11 +49,64 @@ def test_summary_of_canned_pairs():
     assert (after["failed"], after["correct"]) == (1, False)
     assert out["pairs"]["work_s"] == {
         "change_wins": 3, "pairs": 4, "ratio_of_medians": 2.0 / 2.5,
-        "parent_iqr": 1.5, "median_gap": 0.5}
+        "parent_iqr": 1.5, "median_gap": 0.5, "claim_rule": False,
+        "within_bound": None}
     # higher is better: the change won pairs 1, 3 and 4
     assert out["pairs"]["items_per_s"]["change_wins"] == 3
     assert out["pairs"]["items_per_s"]["ratio_of_medians"] == \
         pytest.approx(25.5 / 25.0)
+
+
+def _sides(parent_work, change_work):
+    """Canned records of both sides, pair i being the i-th values."""
+    return ([_record(i, w, 1.0, 0.5) for i, w in enumerate(parent_work)],
+            [_record(i, w, 1.0, 0.5) for i, w in enumerate(change_work)])
+
+
+BOUNDED = [{"name": "work_s", "better": "lower", "bound": 0.25},
+           {"name": "items_per_s", "better": "higher", "bound": 0.25}]
+
+
+def test_claim_rule_met():
+    """9 wins in 10 pairs and a median gap beyond the parent's IQR."""
+    parent = [1.0, 1.1, 0.9, 1.05, 0.95, 1.0, 1.1, 0.9, 1.05, 0.95]
+    change = [0.8] * 9 + [1.2]
+    pairs = bench_pairs.summarize(*_sides(parent, change), BOUNDED)["pairs"]
+    work = pairs["work_s"]
+    assert work["change_wins"] == 9 and work["median_gap"] > work["parent_iqr"]
+    assert work["claim_rule"] and work["within_bound"]
+    # items_per_s did not move: no claim, and within its bound
+    assert not pairs["items_per_s"]["claim_rule"]
+    assert pairs["items_per_s"]["within_bound"]
+
+
+def test_claim_rule_not_met():
+    """8 wins in 10 fail the rule even with a large gap, and 10 wins fail
+    it when the gap is inside the parent's IQR."""
+    parent = [1.0, 1.5, 0.5, 1.2, 0.8, 1.0, 1.5, 0.5, 1.2, 0.8]
+    wide = bench_pairs.summarize(*_sides(parent, [p - 0.01 for p in parent]),
+                                 BOUNDED)["pairs"]["work_s"]
+    assert wide["change_wins"] == 10 and not wide["claim_rule"]
+    few = bench_pairs.summarize(*_sides([1.0] * 10, [0.5] * 8 + [2.0] * 2),
+                                BOUNDED)["pairs"]["work_s"]
+    assert few["change_wins"] == 8 and few["median_gap"] > few["parent_iqr"]
+    assert not few["claim_rule"]
+
+
+def test_regression_beyond_the_bound():
+    """A median 30 % worse breaks a 25 % bound, in either direction of
+    better; 20 % worse stays within it."""
+    slower = bench_pairs.summarize(*_sides([1.0] * 10, [1.3] * 10),
+                                   BOUNDED)["pairs"]
+    assert slower["work_s"]["within_bound"] is False
+    assert not slower["work_s"]["claim_rule"]
+    parent = [_record(i, 1.0, 100.0, 0.5) for i in range(10)]
+    for rate, within in ((70.0, False), (80.0, True)):
+        change = [_record(i, 1.0, rate, 0.5) for i in range(10)]
+        pairs = bench_pairs.summarize(parent, change, BOUNDED)["pairs"]
+        assert pairs["items_per_s"]["within_bound"] is within
+    assert bench_pairs.summarize(*_sides([1.0] * 10, [1.2] * 10),
+                                 BOUNDED)["pairs"]["work_s"]["within_bound"]
 
 
 def test_summary_needs_paired_runs():

@@ -11,7 +11,11 @@ directory: per workload and side the seeds, the machine, failed and
 attempted operations, medians and quartiles (numpy's linear percentiles)
 of every end-to-end and detail metric, and every run's end-to-end values;
 per end-to-end metric, the pairs the change won, the ratio of medians,
-the parent's interquartile range and the gap between the medians. An
+the parent's interquartile range, the gap between the medians and two
+verdicts: `claim_rule`, whether the change won at least 9 pairs in 10 and
+its median is better than the parent's by more than the parent's
+interquartile range, and `within_bound`, whether its median is worse than
+the parent's by no more than the metric's bound in BENCHMARK.json. An
 existing file keeps its other workloads and sections.
 """
 
@@ -61,7 +65,8 @@ def block_of(runs: list[dict]) -> dict:
 def summarize(parent: list[dict], change: list[dict], gated: list[dict]) -> dict:
     """Both sides of a workload from its saved records, pair i being
     parent[i] and change[i], and per gated end-to-end metric
-    ({name, better}) the pair wins and medians compared."""
+    ({name, better}, and its relative `bound` where it has one) the pair
+    wins, the medians compared and the verdicts on them."""
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same number of runs, at least one, a side")
     out = {"parent": side_summary(parent), "change": side_summary(change)}
@@ -72,13 +77,19 @@ def summarize(parent: list[dict], change: list[dict], gated: list[dict]) -> dict
         b = [r["result"]["metrics"][name]["value"] for r in change]
         before = out["parent"]["end_to_end"][name]
         after = out["change"]["end_to_end"][name]
+        wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+        iqr = before["q3"] - before["q1"]
+        # how much better the change's median is, in the metric's direction
+        gain = (before["median"] - after["median"]) * (1 if lower else -1)
         pairs[name] = {
-            "change_wins": sum((y < x) if lower else (y > x)
-                               for x, y in zip(a, b)),
+            "change_wins": wins,
             "pairs": len(a),
             "ratio_of_medians": after["median"] / before["median"],
-            "parent_iqr": before["q3"] - before["q1"],
+            "parent_iqr": iqr,
             "median_gap": abs(after["median"] - before["median"]),
+            "claim_rule": 10 * wins >= 9 * len(a) and gain > iqr,
+            "within_bound": (None if "bound" not in entry else
+                             -gain <= entry["bound"] * before["median"]),
         }
     out["pairs"] = pairs
     return out
