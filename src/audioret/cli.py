@@ -131,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError, FileNotFoundError, KeyError) as err:
+    except (ValueError, RuntimeError, OSError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

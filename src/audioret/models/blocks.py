@@ -213,7 +213,9 @@ class NetVlad:
         logits = ad.stacked_matmul(x, self.assign_w, None, self.assign_b)
         assign = ad.softmax(logits, axis=1)[:, :k]
         mass = ad.segment_sum(assign, offsets)  # per-cluster assignment mass
-        vlad = ad.sub(ad.segment_matmul(assign, x, offsets),
+        pooled = ad.segment_matmul(assign, x, offsets)
+        del x  # the sorted frame copy; a recording tape keeps its own reference
+        vlad = ad.sub(pooled,
                       ad.mul(ad.reshape(mass, (batch, k, 1)), self.centers[:k]))
         vlad = ad.row_normalize(vlad, eps=EPS)
         return ad.row_normalize(ad.reshape(vlad, (batch, self.output_dim)), eps=EPS)

@@ -1066,6 +1066,16 @@ def test_cli_reports_errors_with_exit_one(capsys):
     assert "error: unknown dataset" in capsys.readouterr().err
 
 
+def test_cli_search_reports_unreadable_checkpoint(tmp_path, capsys):
+    """A checkpoint path that cannot be opened as a file is an error
+    message and exit 1, not a traceback."""
+    for path in (tmp_path, tmp_path / "missing.ckpt"):
+        rc = cli_main(["search", "rain", "--checkpoint", str(path),
+                       "--dataset", "synthetic"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_search_prints_ranked_hits(frozen_ckpt, tmp_path, capsys):
     ckpt_path = tmp_path / "model.zip"
     save_checkpoint(frozen_ckpt, ckpt_path)
