@@ -280,8 +280,8 @@ def _build_configs(cfg: ExperimentConfig, seed: int) -> tuple[TrainConfig, LossC
 
 
 def _check_config(cfg: ExperimentConfig, bundle: DataBundle) -> None:
-    """Reject train./loss./model. keys no config takes, train.log_path,
-    and experts the bundle lacks, before anything trains."""
+    """Reject train./loss./model. keys no config takes and experts the
+    bundle lacks, before anything trains."""
     model_cfg = md.ARCHITECTURES[cfg.architecture][0]
     # a run sets the architecture and seed, a model its experts and widths
     for section, known in (("train", fields(TrainConfig)),
@@ -291,10 +291,6 @@ def _check_config(cfg: ExperimentConfig, bundle: DataBundle) -> None:
         unknown = sorted(set(getattr(cfg, section)) - names)
         if unknown:
             raise ValueError(f"unknown {section} key {unknown[0]!r}")
-    if "log_path" in cfg.train:
-        raise ValueError("train key 'log_path' does not work in a study: every "
-                         "seed would overwrite one file; each seed artifact's "
-                         "'log' holds its run's lines")
     missing = [e for e in cfg.experts if e not in bundle.expert_dims]
     if missing:
         raise ValueError(f"expert not available for {cfg.dataset}: {missing[0]!r}")

@@ -9,9 +9,9 @@ names no library.
 
 `run_pinned` shares tasks out on one pool per width, made once for the
 whole process; evaluation chunks, a search query's expert branches and
-an optimizer update's shares use it. Its workers never pin themselves: a
-lifelong pin would also pin training's GEMMs, which run outside
-run_pinned.
+an optimizer update's shares use it, as wide as `width` gives for the
+work's largest matrix. Its workers never pin themselves: a lifelong pin
+would also pin training's GEMMs, which run outside run_pinned.
 
 After a threaded BLAS call, OpenBLAS's own workers spin for about 2^28
 cycles (0.12 s on a 2-core host) before they sleep, and a pin does not
@@ -32,6 +32,11 @@ import functools
 import threading
 
 import numpy as np
+
+# work fans out only when its largest matrix has at least this many
+# entries; below it each op is a few microseconds of Python holding the
+# GIL, and a pool only adds overhead (crossovers measured in CHANGES.md)
+POOL_MIN_WEIGHTS = 1 << 18
 
 # the thread count is process-wide, so is the pin: entries from any thread
 # share one depth, and the outermost exit restores the saved count
@@ -100,6 +105,18 @@ def threads() -> int | None:
     the library."""
     api = _openblas()
     return None if api is None else api[0]()
+
+
+def width(entries: int) -> int:
+    """How many tasks wide work whose largest matrix has `entries` entries
+    runs: 1 below POOL_MIN_WEIGHTS or without the library, else the thread
+    count in force outside any pin. It neither enters nor leaves a pin,
+    whose exit would restart a spinning OpenBLAS worker."""
+    api = _openblas()
+    if api is None or entries < POOL_MIN_WEIGHTS:
+        return 1
+    with _lock:
+        return _saved if _depth else api[0]()
 
 
 def park() -> None:

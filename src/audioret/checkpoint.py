@@ -104,7 +104,8 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
         else:
             raise ValueError(f"not a checkpoint archive: {path}")
     cfg_dict = manifest["train_config"]
-    cfg_dict.pop("checkpoint_every", None)  # unused key of older archives
+    for key in ("checkpoint_every", "log_path"):  # retired keys of older files
+        cfg_dict.pop(key, None)
     cfg_dict["frame_caps"] = {k: int(v)
                               for k, v in (cfg_dict.get("frame_caps") or {}).items()}
     train_config = TrainConfig(**cfg_dict)

@@ -13,8 +13,6 @@ import numpy as np
 
 from .. import autodiff as ad
 
-EPS = 1e-12
-
 
 # -- encoder outputs ---------------------------------------------------
 
@@ -217,8 +215,8 @@ class NetVlad:
         del x  # the sorted frame copy; a recording tape keeps its own reference
         vlad = ad.sub(pooled,
                       ad.mul(ad.reshape(mass, (batch, k, 1)), self.centers[:k]))
-        vlad = ad.row_normalize(vlad, eps=EPS)
-        return ad.row_normalize(ad.reshape(vlad, (batch, self.output_dim)), eps=EPS)
+        vlad = ad.row_normalize(vlad)
+        return ad.row_normalize(ad.reshape(vlad, (batch, self.output_dim)))
 
     def named_parameters(self) -> dict[str, ad.Tensor]:
         return {"centers": self.centers, "assign_w": self.assign_w,
@@ -241,7 +239,7 @@ class GatedUnit:
     def __call__(self, x) -> ad.Tensor:
         y1 = affine(x, self.w1, self.b1)
         gate = ad.sigmoid(affine(y1, self.w2, self.b2))
-        return ad.row_normalize(ad.mul(y1, gate), eps=EPS)
+        return ad.row_normalize(ad.mul(y1, gate))
 
     def named_parameters(self) -> dict[str, ad.Tensor]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}

@@ -44,12 +44,6 @@ from .blocks import AudioBatch, TextBatch
 # on a 200-clip CE pool, chunks of 50 clips raised peak RSS by about
 # 2.5 %, and chunks of 100 by about 9 %
 ENCODE_CHUNK = 64
-# a side's chunks go to the thread pool only when the model's largest
-# weight matrix has at least this many entries, and a query's expert
-# branches go to workers only when a text unit's input matrix has; below
-# it each op is a few microseconds of Python holding the GIL, and a pool
-# only adds overhead (crossovers measured in CHANGES.md)
-POOL_MIN_WEIGHTS = 1 << 18
 
 
 @dataclass
@@ -96,11 +90,14 @@ def query_scores(model, caption: TextEmbedding,
     normalization and the score tiles against the pool) is a pinned task
     (blas.run_pinned): the caller runs the first, and a pool as wide as
     the BLAS thread count the rest when a text unit's input matrix has at
-    least POOL_MIN_WEIGHTS entries. Pooling, the mixture head and the
+    least blas.POOL_MIN_WEIGHTS entries. Pooling, the mixture head and the
     mixing run in the caller."""
     experts, tiles = model.cfg.experts, audio.unit_tiles
+    # sized by the text units' input matrices, not the largest parameter:
+    # MMT's 512 x 512 w2 reaches the cut-off, and MMT queries measured
+    # slower fanned out (BENCH_pr14.json mmt_cutoff)
     largest = max(model.text_units[e].w1.data.size for e in experts)
-    with blas.one_thread() as threads, ad.no_grad(), ad.rowwise():
+    with blas.one_thread(), ad.no_grad(), ad.rowwise():
         pooled = model.pool_text([caption])
 
         def branch(e: int) -> np.ndarray:  # 1 x Ba x 1 cosines
@@ -111,7 +108,7 @@ def query_scores(model, caption: TextEmbedding,
 
         cosines = blas.run_pinned(
             [functools.partial(branch, e) for e in range(len(experts))],
-            threads if largest >= POOL_MIN_WEIGHTS else 1)
+            blas.width(largest))
         scores = mix_experts(ad.softmax(model.weight_head(pooled)),
                              audio.present, np.concatenate(cosines, axis=2))
     return np.clip(scores.data[0], -1.0, 1.0)
@@ -144,15 +141,14 @@ def _chunks(count: int, least: int = 1) -> list[slice]:
 def _encode_chunks(model, encode, items: list) -> list:
     """encode(chunk) for each _chunks slice of items, in chunk order, each
     on one pinned BLAS thread (blas.run_pinned). A large model
-    (POOL_MIN_WEIGHTS) splits the items into at least one chunk per BLAS
-    thread and runs them that wide; an item's bits do not depend on its
-    chunk. The caller holds no_grad() around it, and this returns once
-    every chunk is done."""
-    largest = max(p.data.size for p in model.named_parameters().values())
-    with blas.one_thread() as threads:
-        width = threads if largest >= POOL_MIN_WEIGHTS else 1
-        return blas.run_pinned([functools.partial(encode, items[p])
-                                for p in _chunks(len(items), width)], width)
+    (blas.width) splits the items into at least one chunk per BLAS thread
+    and runs them that wide; an item's bits do not depend on its chunk.
+    The caller holds no_grad() around it, and this returns once every
+    chunk is done."""
+    width = blas.width(max(p.data.size
+                           for p in model.named_parameters().values()))
+    return blas.run_pinned([functools.partial(encode, items[p])
+                            for p in _chunks(len(items), width)], width)
 
 
 def encode_clips(model, clips: list[AudioClip]) -> AudioBatch:

@@ -16,20 +16,20 @@ the textbook formula's operations in the textbook order, so the results
 are the same bits as the whole-array expressions. Training hands every
 parameter a row-major gradient (stacked_matmul gives a weight's gradient
 the weight's own layout), so none is copied; a gradient that is not
-row-major, from a caller that builds one, is copied to row-major a slice
-at a time.
+row-major, from a caller that builds one, is copied whole, per
+parameter, before the slices run.
 
-When the model's largest parameter has at least
-similarity.POOL_MIN_WEIGHTS entries (read at each step), a step shares
-its slices, WIDE_CHUNK elements long, out in near-equal runs, one per
-BLAS thread, through blas.run_pinned, each run with its own scratch; a smaller model's step
-runs in the caller and starts no thread. numpy's ufuncs release the GIL,
-so the runs share the cores, and an element's operations do not depend
-on its run, so the bits are the serial step's. A step that fans out
-first parks OpenBLAS's own workers (blas.park), which would otherwise
-spin on a core for about 0.12 s after the backward pass's threaded
-GEMMs; training holds the pin from the end of each backward pass through
-the step and any validation due.
+When the model's largest parameter has at least blas.POOL_MIN_WEIGHTS
+entries (blas.width, read at each step), a step shares its slices,
+WIDE_CHUNK elements long, out in near-equal runs, one per BLAS thread,
+through blas.run_pinned, each run with its own scratch; a smaller
+model's step runs in the caller and starts no thread. numpy's ufuncs
+release the GIL, so the runs share the cores, and an element's
+operations do not depend on its run, so the bits are the serial step's.
+A step that fans out first parks OpenBLAS's own workers (blas.park),
+which would otherwise spin on a core for about 0.12 s after the backward
+pass's threaded GEMMs; training holds the pin from the end of each
+backward pass through the step and any validation due.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import blas
-from .models import similarity
 
 # elements per slice of an update in the caller; a slice of each operand
 # the rule touches together (parameter, two moments, gradient, two
@@ -71,32 +70,21 @@ def _shares(sizes: list[int], width: int) -> list[list[tuple[int, int, int]]]:
     return shares
 
 
-def _width(params: dict[str, ad.Tensor]) -> int:
-    """How many shares a step over `params` runs in: the BLAS thread count
-    in force outside any pin when the largest parameter has at least
-    similarity.POOL_MIN_WEIGHTS entries, else 1."""
-    largest = max((p.data.size for p in params.values()), default=0)
-    if largest < similarity.POOL_MIN_WEIGHTS:
-        return 1
-    with blas.one_thread() as threads:
-        return threads
-
-
 def _share_scratch(params: dict[str, ad.Tensor], rows: int) -> list[np.ndarray]:
     """`rows` scratch slices, as long as the longest slice any step over
     `params` takes, for each share of a step over them."""
     longest = max((p.data.size for p in params.values()), default=0)
     return [np.empty((rows, min(WIDE_CHUNK, longest)))
-            for _ in range(_width(params))]
+            for _ in range(blas.width(longest))]
 
 
 def _fan_out(params: dict[str, ad.Tensor], work, scratch: list) -> None:
-    """work(share, scratch[i]) for each of the _width(params) _shares of
-    the params' slices: one in the caller, or several through
-    blas.run_pinned after parking OpenBLAS's workers. A share the scratch
-    list lacks gets a copy of its first entry's shape."""
+    """work(share, scratch[i]) for each of the _shares of the params'
+    slices, as many as blas.width of the largest: one in the caller, or
+    several through blas.run_pinned after parking OpenBLAS's workers. A
+    share the scratch list lacks gets a copy of its first entry's shape."""
     sizes = [p.data.size for p in params.values()]
-    width = _width(params)
+    width = blas.width(max(sizes, default=0))
     if width == 1:
         work(*_shares(sizes, 1), scratch[0])
         return
@@ -106,25 +94,6 @@ def _fan_out(params: dict[str, ad.Tensor], work, scratch: list) -> None:
         blas.park()
         blas.run_pinned([functools.partial(work, share, buffers) for share, buffers
                          in zip(_shares(sizes, width), scratch)], width)
-
-
-def _copy_row_major(g: np.ndarray, start: int, end: int, out: np.ndarray) -> None:
-    """Copy g's row-major elements start..end-1 into out: a part of a row
-    of g's leading axis at either end, and the whole rows between them in
-    one piece."""
-    per = g.size // g.shape[0]
-    first, last = -(-start // per), end // per
-    if first > last:  # inside one row
-        row, col = divmod(start, per)
-        out[: end - start] = g[row].reshape(-1)[col:col + end - start]
-        return
-    head, body = first * per - start, (last - first) * per
-    if head:
-        out[:head] = g[first - 1].reshape(-1)[per - head:]
-    out[head:head + body].reshape((last - first,) + g.shape[1:])[...] = \
-        g[first:last]
-    if head + body < end - start:
-        out[head + body:end - start] = g[last].reshape(-1)[:end - start - head - body]
 
 
 class Adam:
@@ -150,22 +119,16 @@ class Adam:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        # per share: two scratch slices and one for a slice of a gradient
-        # copied to row-major
-        self._scratch = _share_scratch(self.params, 3)
+        self._scratch = _share_scratch(self.params, 2)  # per share
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
 
     def _flat_grad(self, p: ad.Tensor) -> np.ndarray | None:
-        """p.grad as a flat row-major array, p.grad itself when it is not
-        row-major (each slice of it is copied where it is updated), or
-        None."""
-        g = p.grad
-        if g is None or not g.flags.c_contiguous:
-            return g
-        return g.reshape(-1)
+        """p.grad as a flat row-major array (a view of a row-major gradient,
+        a whole copy of any other), or None."""
+        return None if p.grad is None else p.grad.reshape(-1)
 
     def _update(self, scale: float, adaptive: bool) -> None:
         """One step over every parameter, slice by slice:
@@ -180,18 +143,12 @@ class Adam:
                 for name, p in self.params.items()]
 
         def update_share(share, scratch) -> None:
-            a, b, rows = scratch
+            a, b = scratch
             for k, start, end in share:
                 x, m, v, g = flat[k]
                 xc, mc, vc = x[start:end], m[start:end], v[start:end]
                 ac, bc = a[: end - start], b[: end - start]
-                if g is None:
-                    gc = _ZEROS[: end - start]
-                elif g.ndim == 1:
-                    gc = g[start:end]
-                else:
-                    gc = rows[: end - start]
-                    _copy_row_major(g, start, end, gc)
+                gc = _ZEROS[: end - start] if g is None else g[start:end]
                 if wd:
                     # wd*x + g is g + wd*x: IEEE addition commutes
                     np.multiply(xc, wd, out=ac)

@@ -19,6 +19,10 @@ from .corpus import CaptionRecord, Corpus, SampleRecord
 from .experts import InMemoryFeatureStore, WordTable, WordTableTextSource
 
 VOCAB = 64
+# each sample's expert streams: width per expert, frames, noise scale
+EXPERT_DIMS = {"ea": 12, "eb": 8}
+FRAMES = 4
+NOISE = 0.02
 
 
 def make_word_table(rng: np.random.Generator, vocab: int = VOCAB,
@@ -38,11 +42,8 @@ class SyntheticBenchmark:
 
 
 def make_synthetic_benchmark(rng: np.random.Generator, n_pairs: int = 64,
-                             expert_dims: dict[str, int] | None = None,
                              word_table: WordTable | None = None,
                              maps: dict[str, np.ndarray] | None = None,
-                             frames: int = 4, noise: float = 0.02,
-                             mirror_val: bool = True,
                              n_test: int = 0) -> SyntheticBenchmark:
     """Build a paired corpus + feature store of n_pairs train samples.
 
@@ -52,7 +53,7 @@ def make_synthetic_benchmark(rng: np.random.Generator, n_pairs: int = 64,
     """
     if n_pairs < 2:
         raise ValueError("need at least 2 pairs")
-    expert_dims = dict(expert_dims or {"ea": 12, "eb": 8})
+    expert_dims = dict(EXPERT_DIMS)
     table = word_table or make_word_table(rng)
     maps = dict(maps or {e: rng.standard_normal((d, table.dim))
                          for e, d in expert_dims.items()})
@@ -82,15 +83,14 @@ def make_synthetic_benchmark(rng: np.random.Generator, n_pairs: int = 64,
         streams = {}
         for e, d in expert_dims.items():
             clean = maps[e] @ mu
-            streams[e] = clean[None, :] + noise * rng.standard_normal((frames, d))
+            streams[e] = clean[None, :] + NOISE * rng.standard_normal((FRAMES, d))
         duration = float(rng.uniform(5.0, 240.0))
         originals.append((text, streams, duration))
         emit(f"t{i:04d}", "train", text, streams, duration)
 
-    if mirror_val:
-        for i, (text, streams, duration) in enumerate(originals):
-            emit(f"v{i:04d}", "val", text,
-                 {e: m.copy() for e, m in streams.items()}, duration)
+    for i, (text, streams, duration) in enumerate(originals):
+        emit(f"v{i:04d}", "val", text,
+             {e: m.copy() for e, m in streams.items()}, duration)
     for i in range(n_test):
         text, streams, duration = originals[i % n_pairs]
         emit(f"s{i:04d}", "test", text,

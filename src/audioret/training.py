@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -22,9 +21,7 @@ from . import optim
 from .corpus import Corpus
 from .evaluation import MetricsReport, compute_metrics, t2a_ground_truth
 from .experts import AudioClip, TextEmbedding, gather_clip
-from .models.similarity import SimilarityMatrix, batch_scores, similarity_matrix
-
-LOG_FIELDS = ("step", "split", "loss", "R@1", "R@5", "R@10", "medR", "meanR")
+from .models.similarity import batch_scores, similarity_matrix
 
 # word cap and per-expert frame caps, keyed by dataset name
 DATASET_CAPS = {
@@ -74,7 +71,6 @@ class TrainConfig:
     seed: int = 0
     word_cap: int | None = None
     frame_caps: dict[str, int] = field(default_factory=dict)
-    log_path: str | None = None
 
     def __post_init__(self):
         if self.architecture not in md.ARCHITECTURES:
@@ -103,8 +99,6 @@ def ranking_loss(scores, margin: float) -> ad.Tensor:
     L = (1/B) Σ_{i, j≠i} [m + s_ij − s_ii]_+ + [m + s_ji − s_ii]_+
     with the positive pairs on the diagonal.
     """
-    if isinstance(scores, SimilarityMatrix):
-        scores = scores.values
     if not isinstance(scores, ad.Tensor):
         scores = ad.Tensor(np.asarray(scores, dtype=np.float64))
     if scores.data.ndim != 2 or scores.data.shape[0] != scores.data.shape[1]:
@@ -356,9 +350,6 @@ def train(model, corpus: Corpus, store, text_source, cfg: TrainConfig,
                 if step >= budget:
                     break
 
-    if cfg.log_path:
-        Path(cfg.log_path).write_text(
-            ",".join(LOG_FIELDS) + "\n" + "\n".join(log_lines) + "\n")
     best_step, report = history[select_best(history)]
     return Checkpoint(cfg.architecture, model.config_dict(), best_params,
                       cfg, history, selection_score(report), best_step,

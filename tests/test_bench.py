@@ -19,7 +19,6 @@ import audioret.training as tr
 from audioret.checkpoint import save_checkpoint
 from audioret.cli import main as cli_main
 from audioret.evaluation import MetricsReport, SeedAggregate
-from audioret.models import similarity
 from audioret.models.similarity import encode_clips, similarity_matrix
 from audioret.synthetic import make_synthetic_benchmark, make_word_table
 from helpers import drop_pools, needs_openblas
@@ -406,12 +405,12 @@ def test_run_key_names_the_blas_thread_count(rig, bundle, monkeypatch):
 
 def test_study_rejects_train_log_path_before_writing(bundle, tmp_path,
                                                      monkeypatch):
-    """Every seed of a study would overwrite one train.log_path file, so a
-    study refuses it and points at each seed artifact's log."""
+    """train.log_path is retired: a study fails on it as on any unknown
+    train key, before anything is written."""
     monkeypatch.setattr(tr, "train", lambda *a, **kw: pytest.fail("trained"))
     cfg = tiny_config(tmp_path / "runs",
                       train=TINY_TRAIN | {"log_path": str(tmp_path / "t.log")})
-    with pytest.raises(ValueError, match="'log_path'.*'log'"):
+    with pytest.raises(ValueError, match="unknown train key 'log_path'"):
         bn.run_benchmark(cfg, data=bundle)
     assert not (tmp_path / "runs").exists()
     assert not (tmp_path / "t.log").exists()
@@ -911,7 +910,7 @@ def test_search_branches_on_workers_keep_hits_and_scores(arch, bundle,
                         lambda tasks, width: widths.append(width)
                         or run_pinned(tasks, width))
     for cutoff in (0, 1 << 62):
-        monkeypatch.setattr(similarity, "POOL_MIN_WEIGHTS", cutoff)
+        monkeypatch.setattr(blas, "POOL_MIN_WEIGHTS", cutoff)
         searcher = _searcher(arch, bundle, **SMALL[arch])
         widths.clear()
         runs.append([searcher.search(q, top_k=16) for q in QUERIES])
@@ -1048,7 +1047,7 @@ def test_cli_transfer_needs_source(rig, tmp_path, capsys):
     ("train.epoch = 2\n", "unknown train key 'epoch'"),
     ("model.joint_dimm = 8\n", "unknown model key 'joint_dimm'"),
     ("sacle.fractions = 0.5\n", "unknown config section 'sacle'"),
-    ("train.log_path = t.log\n", "train key 'log_path' does not work")],
+    ("train.log_path = t.log\n", "unknown train key 'log_path'")],
     ids=["scale", "train", "model", "section", "log_path"])
 def test_cli_config_typo_exits_one_before_writing(tmp_path, capsys, extra,
                                                   message):

@@ -256,6 +256,41 @@ def test_one_thread_yields_one_without_the_library(monkeypatch):
         assert threads == 1
 
 
+def _spy_setter(monkeypatch) -> list[int]:
+    """Every thread count blas sets from here on."""
+    get, set_, config = blas._openblas()
+    calls = []
+    monkeypatch.setattr(blas, "_openblas", lambda: (
+        get, lambda n: calls.append(n) or set_(n), config))
+    return calls
+
+
+@needs_openblas
+def test_width_outside_a_pin_is_the_thread_count_from_the_cut_off(
+        two_threads, monkeypatch):
+    calls = _spy_setter(monkeypatch)
+    assert blas.width(blas.POOL_MIN_WEIGHTS - 1) == 1
+    assert blas.width(blas.POOL_MIN_WEIGHTS) == 2
+    assert (_threads(), blas._depth, calls) == (2, 0, [])
+
+
+@needs_openblas
+def test_width_inside_a_pin_is_the_unpinned_count(two_threads, monkeypatch):
+    """Under a pin, width reads the count the pin saved; it neither enters
+    nor leaves the pin, so it sets no thread count."""
+    with blas.one_thread():
+        depth, calls = blas._depth, _spy_setter(monkeypatch)
+        assert blas.width(blas.POOL_MIN_WEIGHTS - 1) == 1
+        assert blas.width(blas.POOL_MIN_WEIGHTS) == 2
+        assert (_threads(), blas._depth, calls) == (1, depth, [])
+    assert _threads() == 2
+
+
+def test_width_is_one_without_the_library(monkeypatch):
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
+    assert blas.width(1 << 62) == 1
+
+
 def _digests(script: str) -> list[str]:
     """The script's output under 1 and under 2 BLAS threads."""
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -293,6 +293,21 @@ class TestOlderArchives:
         back = load_checkpoint(old)
         assert back.train_config == ckpt.train_config
 
+    def test_manifest_with_log_path_loads(self, trained, tmp_path):
+        """Files of either version written before train.log_path was
+        retired hold it in their train config; they load without it."""
+        _, ckpt = trained
+        old_v1 = self._rewrite(
+            save_v1(ckpt, tmp_path / "m.ckpt"), tmp_path / "old1.ckpt",
+            zipfile.ZIP_STORED,
+            edit=lambda m: m["train_config"].update(log_path="train.log"))
+        manifest, data = split_v2(save_checkpoint(ckpt, tmp_path / "m2.ckpt"))
+        assert "log_path" not in manifest["train_config"]
+        manifest["train_config"]["log_path"] = None
+        old_v2 = write_v2(tmp_path / "old2.ckpt", manifest, data)
+        for path in (old_v1, old_v2):
+            assert load_checkpoint(path).train_config == ckpt.train_config
+
     def test_manifest_without_blas_loads_with_none(self, trained, tmp_path):
         _, ckpt = trained
         path = save_v1(ckpt, tmp_path / "m.ckpt")

@@ -588,7 +588,7 @@ def test_pool_and_caller_loop_give_the_same_bits(arch, two_threads,
     clips = [_random_clip(rng, model, f"a{j}", 6) for j in range(6)]
     runs = []
     for cutoff in (0, 1 << 62):
-        monkeypatch.setattr(similarity, "POOL_MIN_WEIGHTS", cutoff)
+        monkeypatch.setattr(blas, "POOL_MIN_WEIGHTS", cutoff)
         thread_starts.clear()
         runs.append((md.encode_clips(model, clips).vectors.data,
                      md.similarity_matrix(model, texts, clips).values))
@@ -634,7 +634,7 @@ def test_failing_worker_restores_blas_and_grad_mode(two_threads, monkeypatch):
     texts = [_random_caption(rng, dim, f"c{i}", 6)
              for i in range(3 * similarity.ENCODE_CHUNK)]
     clips = [_random_clip(rng, model, f"a{j}", 6) for j in range(40)]
-    monkeypatch.setattr(similarity, "POOL_MIN_WEIGHTS", 0)
+    monkeypatch.setattr(blas, "POOL_MIN_WEIGHTS", 0)
     starts = [f"c{p.start}" for p in similarity._chunks(len(texts), 2)]
     assert len(starts) == 4
     encode_text, finished = model.encode_text, []
@@ -670,7 +670,7 @@ def test_query_branches_on_a_worker_match_a_one_caption_matrix(arch,
     for text in texts:
         want = md.similarity_matrix(model, [text], clips).values[0]
         for cutoff in (0, 1 << 62):
-            monkeypatch.setattr(similarity, "POOL_MIN_WEIGHTS", cutoff)
+            monkeypatch.setattr(blas, "POOL_MIN_WEIGHTS", cutoff)
             np.testing.assert_array_equal(
                 similarity.query_scores(model, text, pool), want)
 
@@ -685,7 +685,7 @@ def test_failing_branch_fails_the_query_after_the_others(two_threads,
     model, dim = _random_model("ce", rng)
     clips = [_random_clip(rng, model, f"a{j}", 6) for j in range(8)]
     pool = md.encode_clips(model, clips)
-    monkeypatch.setattr(similarity, "POOL_MIN_WEIGHTS", 0)
+    monkeypatch.setattr(blas, "POOL_MIN_WEIGHTS", 0)
     finished = []
 
     def slow(expert):

@@ -12,7 +12,7 @@ from audioret import optim
 from audioret import training as tr
 from audioret.checkpoint import load_checkpoint, save_checkpoint
 from audioret.evaluation import MetricsReport
-from audioret.models import blocks, mmt, similarity
+from audioret.models import blocks, mmt
 from audioret.synthetic import make_synthetic_benchmark
 from helpers import needs_openblas
 
@@ -274,7 +274,7 @@ class TestInPlaceUpdate:
         leaf = ad.Tensor(rng.standard_normal((1024, 1024)), requires_grad=True)
         opt = optim.build_optimizer(kind, {"w": leaf}, lr=0.01,
                                     weight_decay=0.001, lookahead_k=3)
-        leaf.grad = rng.standard_normal((1024, 1024)).T  # column-major
+        leaf.grad = rng.standard_normal((1024, 1024))
         tracemalloc.start()
         try:
             for _ in range(6):  # both radam branches and two lookahead syncs
@@ -303,7 +303,7 @@ def _fan_out_run(kind, wd, steps, cutoff, monkeypatch, only=None):
     `cutoff`, over _FAN_OUT_MODEL's parameters or only parameter `only`,
     and the widths blas.run_pinned was called with."""
     monkeypatch.undo()  # an earlier run's spy and cut-off
-    monkeypatch.setattr(similarity, "POOL_MIN_WEIGHTS", cutoff)
+    monkeypatch.setattr(blas, "POOL_MIN_WEIGHTS", cutoff)
     widths, run_pinned = [], blas.run_pinned
     monkeypatch.setattr(blas, "run_pinned", lambda tasks, width: widths.append(
         width) or run_pinned(tasks, width))
@@ -607,17 +607,6 @@ class TestTrainLoop:
         with pytest.raises(FileNotFoundError, match="t0002"):
             tr.train(model, bench.corpus, bench.store, bench.text_source,
                      _train_cfg(epochs=1), tr.LossConfig(batch_size=2))
-
-    def test_log_file_written(self, tmp_path):
-        bench = self._bench(n=4)
-        model = tiny_model("moee", bench)
-        path = tmp_path / "train.log"
-        tr.train(model, bench.corpus, bench.store, bench.text_source,
-                 _train_cfg(epochs=1, log_path=str(path)),
-                 tr.LossConfig(batch_size=2))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,split,loss,R@1,R@5,R@10,medR,meanR"
-        assert len(lines) == 2 and len(lines[1].split(",")) == 8
 
     def test_learning_moves_metrics_up(self):
         bench = self._bench(n=16, seed=1)
