@@ -305,13 +305,20 @@ def _build_model(cfg: ExperimentConfig, bundle: DataBundle, seed: int):
 
 def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle,
                         split: str = "test") -> dict[str, MetricsReport]:
-    """Both-direction metrics of a checkpoint on one corpus split."""
+    """Both-direction metrics of a checkpoint on one corpus split.
+
+    The split's captions and clips are loaded through lazy views
+    (training.split_texts, training.split_clips) inside the chunk tasks
+    that encode them, so only the chunks in flight are held at once; the
+    matrix is bitwise that of the split staged whole. An empty split
+    raises before any task starts, and a missing feature file raises
+    FileNotFoundError naming the sample from the task that loads it."""
     model = ckpt.rebuild()
-    _, texts, clips = tr.stage_split(bundle.corpus, split, bundle.store,
-                                     bundle.text_source,
-                                     tuple(model.cfg.experts),
-                                     ckpt.train_config)
-    sim = similarity_matrix(model, list(texts.values()), list(clips.values()))
+    cfg = ckpt.train_config
+    sim = similarity_matrix(
+        model, tr.split_texts(bundle.corpus, split, bundle.text_source, cfg),
+        tr.split_clips(bundle.corpus, split, bundle.store,
+                       tuple(model.cfg.experts), cfg))
     split_corpus = bundle.corpus.of_split(split)
     return {"t2a": compute_metrics(sim, t2a_ground_truth(split_corpus)),
             "a2t": compute_metrics(sim.transposed(),
@@ -538,9 +545,12 @@ class Searcher:
 
     Audio-side embeddings for the pool are computed once at construction
     and reused for every query; ranking uses the evaluation tie-break
-    (score descending, then sample id ascending). A large model's query
-    runs its expert branches on the pinned worker pool that evaluation
-    shares (similarity.query_scores); the Searcher holds no thread.
+    (score descending, then sample id ascending). The pool's clips are
+    loaded chunk by chunk inside the tasks that encode them
+    (training.split_clips), so the Searcher keeps no clip. A large model's
+    query runs its expert branches on the pinned worker pool that
+    evaluation shares (similarity.query_scores); the Searcher holds no
+    thread.
     """
 
     def __init__(self, ckpt: Checkpoint, corpus: Corpus, store, text_source,
@@ -548,11 +558,11 @@ class Searcher:
         self.model = ckpt.rebuild()
         self.text_source = text_source
         self.word_cap = ckpt.train_config.word_cap
-        clips = tr.stage_clips(corpus, split, store,
+        clips = tr.split_clips(corpus, split, store,
                                tuple(self.model.cfg.experts), ckpt.train_config)
-        self.pool_ids = sorted(clips)
+        self.pool_ids = clips.keys
         self._ids = np.asarray(self.pool_ids)
-        self.pool = encode_clips(self.model, [clips[sid] for sid in self.pool_ids])
+        self.pool = encode_clips(self.model, clips)
 
     def search(self, query: str, top_k: int = 10) -> list[tuple[str, float]]:
         if not query or not query.strip():

@@ -4,8 +4,7 @@ numpy's wheels link scipy-openblas, which exports
 `scipy_openblas_{get,set}_num_threads64_`. The library is reached through
 numpy's own extension module with ctypes on first use, never at import.
 Where numpy runs on another BLAS, or the symbols are missing,
-`one_thread()` pins nothing and reports a count of 1, and `describe()`
-names no library.
+`one_thread()` pins nothing and `describe()` names no library.
 
 `run_pinned` shares tasks out on one pool per width, made once for the
 whole process; evaluation chunks, a search query's expert branches and
@@ -75,14 +74,14 @@ def _thread_shutdown():
 
 @contextlib.contextmanager
 def one_thread():
-    """Run the block's BLAS calls on one OpenBLAS thread, and yield the
-    count in force before the outermost entry (1 without the library).
-    That count is restored when the outermost entry exits, also on an
-    exception; nested and concurrent entries share that one pin."""
+    """Run the block's BLAS calls on one OpenBLAS thread; without the
+    library it does nothing. The count in force before the outermost entry
+    is restored when that entry exits, also on an exception; nested and
+    concurrent entries share that one pin."""
     global _depth, _saved
     api = _openblas()
     if api is None:
-        yield 1
+        yield
         return
     get, set_, _ = api
     with _lock:
@@ -90,9 +89,8 @@ def one_thread():
             _saved = get()
             set_(1)
         _depth += 1
-        threads = _saved
     try:
-        yield threads
+        yield
     finally:
         with _lock:
             _depth -= 1

@@ -75,14 +75,19 @@ DEFAULT_REGISTRY = ExpertRegistry({
 
 @dataclass
 class FeatureStream:
-    """One expert's T x D time-major feature matrix for one sample."""
+    """One expert's T x D time-major feature matrix for one sample, kept in
+    the store's dtype: float32 from an on-disk store, float64 from an
+    in-memory one. Any other dtype is cast to float64. The encoders upcast
+    each batch's frames once (blocks.canonical_rows, stacked_matmul)."""
 
     sample_id: str
     expert: str
     matrix: np.ndarray
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        self.matrix = np.asarray(self.matrix)
+        if self.matrix.dtype != np.float32:
+            self.matrix = self.matrix.astype(np.float64, copy=False)
         if self.matrix.ndim != 2 or self.matrix.shape[0] < 1:
             raise ValueError(
                 f"feature stream for {self.sample_id}/{self.expert}: "
@@ -386,19 +391,22 @@ class PrecomputedTextSource:
 def gather_clip(store, sample_id: str, experts: tuple[str, ...],
                 frame_caps: dict[str, int] | None = None) -> AudioClip:
     """Fetch and cap one sample's streams for the configured experts; a
-    missing stream is a hard error naming the sample."""
+    missing stream is a hard error naming the sample.
+
+    Streams keep the store's dtype (see FeatureStream). A stream longer
+    than its cap is capped by a copy, so the clip does not keep the
+    uncapped matrix alive."""
     clip = AudioClip(sample_id)
     for expert in experts:
         try:
             stream = store.fetch(sample_id, expert)
         except FileNotFoundError as exc:
             raise FileNotFoundError(
-                f"missing features for training sample {sample_id} "
+                f"missing features for sample {sample_id} "
                 f"(expert {expert})") from exc
         matrix = stream.matrix
-        if frame_caps and expert in frame_caps:
-            matrix = matrix[: frame_caps[expert]]
-        clip.streams[expert] = matrix
+        cap = (frame_caps or {}).get(expert, matrix.shape[0])
+        clip.streams[expert] = matrix[:cap].copy() if cap < matrix.shape[0] else matrix
     if not clip.streams:
         raise ValueError(f"no experts present for sample {sample_id}")
     return clip

@@ -81,11 +81,13 @@ def config_dict(cfg) -> dict:
 
 
 def stream_rows(value) -> np.ndarray:
-    """Valid frames of a bare T x D matrix or of a (matrix, mask) pair."""
+    """Valid frames of a bare T x D matrix or of a (matrix, mask) pair, in
+    the matrix's own dtype: the encoders upcast a batch once
+    (canonical_rows, stacked_matmul), not each item."""
     if isinstance(value, tuple):
         matrix, mask = value
-        return np.asarray(matrix, dtype=np.float64)[np.asarray(mask, dtype=bool)]
-    return np.asarray(value, dtype=np.float64)
+        return np.asarray(matrix)[np.asarray(mask, dtype=bool)]
+    return np.asarray(value)
 
 
 def gather_streams(experts: tuple[str, ...], batch: list
@@ -140,13 +142,16 @@ class Linear:
 
 def canonical_rows(streams: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Concatenate frame matrices, each with its rows sorted
-    lexicographically, and return them with the item row offsets.
+    lexicographically, and return them as float64 with the item row
+    offsets.
 
     Pooling frames in this order makes a descriptor exactly order-free, not
     just order-free up to float round-off. One sort orders every item's rows
     by their first column; an item with ties there takes the full lexsort.
-    Each item's rows are gathered straight into the output, the frames'
-    one copy.
+    Widening float32 to float64 is exact and keeps the order, so float32
+    frames sort and pool bitwise like their float64 upcast. Each item's
+    rows are gathered straight into the float64 output, the batch's one
+    copy of its frames.
     """
     lengths = [f.shape[0] for f in streams]
     offsets = np.cumsum([0] + lengths)
@@ -159,8 +164,11 @@ def canonical_rows(streams: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         order[lo:hi] = lo + np.lexsort(streams[b].T[::-1])
     x = np.empty((offsets[-1], streams[0].shape[1]))
     for frames, lo, hi in zip(streams, offsets[:-1], offsets[1:]):
-        # mode="clip" writes straight into x; the default buffers a copy
-        np.take(frames, order[lo:hi] - lo, axis=0, out=x[lo:hi], mode="clip")
+        if frames.dtype == x.dtype:
+            # mode="clip" writes straight into x; the default buffers a copy
+            np.take(frames, order[lo:hi] - lo, axis=0, out=x[lo:hi], mode="clip")
+        else:  # np.take's out takes only its own dtype
+            x[lo:hi] = frames[order[lo:hi] - lo]
     return x, offsets
 
 
@@ -196,9 +204,9 @@ class NetVlad:
         return self.clusters * self.input_dim
 
     def __call__(self, streams: list) -> ad.Tensor:
-        """Pool a list of valid-frame matrices into B x K*D. Frames are
-        data: no gradient flows back to them."""
-        streams = [np.asarray(f, dtype=np.float64) for f in streams]
+        """Pool a list of valid-frame matrices (float32 or float64) into
+        B x K*D. Frames are data: no gradient flows back to them."""
+        streams = [np.asarray(f) for f in streams]
         for frames in streams:
             if frames.ndim != 2 or frames.shape[1] != self.input_dim:
                 raise ValueError(

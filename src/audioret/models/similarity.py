@@ -17,7 +17,11 @@ items, each on one pinned OpenBLAS thread (blas.run_pinned), so their bits
 do not depend on the BLAS thread count. A large model's chunks, at least
 one per BLAS thread, run as wide as that count: the caller runs the first
 and the process's one worker pool the rest. A small model's run in the
-caller.
+caller. A pool is any sequence whose slices are lists of items: a list,
+or a lazy view that loads a slice's items when it is taken
+(training.SplitView). Each chunk task takes its own slice, so a lazily
+viewed pool is loaded chunk by chunk, inside the tasks that encode it,
+and only the chunks in flight are ever held at once.
 
 A search query (query_scores) runs each expert's branch as a pinned task
 on the same pool, the caller running the first. Its scores are bitwise a
@@ -138,44 +142,63 @@ def _chunks(count: int, least: int = 1) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _encode_chunks(model, encode, items: list) -> list:
-    """encode(chunk) for each _chunks slice of items, in chunk order, each
-    on one pinned BLAS thread (blas.run_pinned). A large model
+def _encode_chunks(model, encode, items) -> list:
+    """encode(items[p]) for each _chunks slice p of items, in chunk order,
+    each on one pinned BLAS thread (blas.run_pinned). The slice is taken
+    inside the chunk's task, so a lazy view loads it there. A large model
     (blas.width) splits the items into at least one chunk per BLAS thread
     and runs them that wide; an item's bits do not depend on its chunk.
     The caller holds no_grad() around it, and this returns once every
     chunk is done."""
     width = blas.width(max(p.data.size
                            for p in model.named_parameters().values()))
-    return blas.run_pinned([functools.partial(encode, items[p])
+
+    def task(part: slice):
+        return encode(items[part])
+
+    return blas.run_pinned([functools.partial(task, p)
                             for p in _chunks(len(items), width)], width)
 
 
-def encode_clips(model, clips: list[AudioClip]) -> AudioBatch:
-    """Inference-mode encoding of a clip pool, at most ENCODE_CHUNK clips
-    per call."""
-    if not clips:
+def _encode_pool(model, clips) -> tuple[list[str], AudioBatch]:
+    """The sample ids of a clip pool, as its loaded clips give them, and
+    the pool's inference-mode encoding, ENCODE_CHUNK clips per call."""
+    if not len(clips):
         raise ValueError("empty batch")
+
+    def encode(chunk: list[AudioClip]):
+        return ([c.sample_id for c in chunk],
+                model.encode_audio([c.streams for c in chunk]))
+
     with ad.no_grad():
-        parts = _encode_chunks(
-            model, lambda chunk: model.encode_audio([c.streams for c in chunk]),
-            clips)
-    return AudioBatch(ad.Tensor(np.concatenate([p.vectors.data for p in parts])),
-                      np.concatenate([p.present for p in parts]))
+        parts = _encode_chunks(model, encode, clips)
+    return ([sid for ids, _ in parts for sid in ids],
+            AudioBatch(ad.Tensor(np.concatenate([p.vectors.data for _, p in parts])),
+                       np.concatenate([p.present for _, p in parts])))
 
 
-def similarity_matrix(model, texts: list[TextEmbedding],
-                      clips: list[AudioClip]) -> SimilarityMatrix:
-    """Evaluation-side matrix with values clipped into [-1, 1]; both sides
-    are encoded ENCODE_CHUNK items per call."""
-    if not texts or not clips:
+def encode_clips(model, clips) -> AudioBatch:
+    """Inference-mode encoding of a clip pool (a list or a lazy view), at
+    most ENCODE_CHUNK clips per call."""
+    return _encode_pool(model, clips)[1]
+
+
+def similarity_matrix(model, texts, clips) -> SimilarityMatrix:
+    """Evaluation-side matrix with values clipped into [-1, 1]. Both sides
+    (lists or lazy views of TextEmbeddings and AudioClips) are encoded
+    ENCODE_CHUNK items per call, and the row and column ids are those of
+    the items loaded."""
+    if not len(texts) or not len(clips):
         raise ValueError("empty batch")
-    audio = encode_clips(model, clips)
+    col_ids, audio = _encode_pool(model, clips)
+
+    def score(chunk: list[TextEmbedding]):
+        return ([t.caption_id for t in chunk],
+                combine_scores(model.encode_text(chunk), audio).data)
+
     with ad.no_grad():
         audio.unit_tiles  # once, before the text chunks share it
-        rows = _encode_chunks(
-            model, lambda chunk: combine_scores(model.encode_text(list(chunk)),
-                                                audio).data, texts)
-    values = np.clip(np.concatenate(rows), -1.0, 1.0)
-    return SimilarityMatrix(values, [t.caption_id for t in texts],
-                            [c.sample_id for c in clips])
+        rows = _encode_chunks(model, score, texts)
+    values = np.clip(np.concatenate([r for _, r in rows]), -1.0, 1.0)
+    return SimilarityMatrix(values, [cid for ids, _ in rows for cid in ids],
+                            col_ids)

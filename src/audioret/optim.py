@@ -72,9 +72,13 @@ def _shares(sizes: list[int], width: int) -> list[list[tuple[int, int, int]]]:
 
 def _share_scratch(params: dict[str, ad.Tensor], rows: int) -> list[np.ndarray]:
     """`rows` scratch slices, as long as the longest slice any step over
-    `params` takes, for each share of a step over them."""
+    `params` takes, for each share of a step over them. A model below
+    blas.POOL_MIN_WEIGHTS always steps serially, in CHUNK slices; a larger
+    one keeps WIDE_CHUNK, since _fan_out copies the first share's scratch
+    when the width grows."""
     longest = max((p.data.size for p in params.values()), default=0)
-    return [np.empty((rows, min(WIDE_CHUNK, longest)))
+    length = WIDE_CHUNK if longest >= blas.POOL_MIN_WEIGHTS else CHUNK
+    return [np.empty((rows, min(length, longest)))
             for _ in range(blas.width(longest))]
 
 

@@ -10,6 +10,7 @@ geometric mean of R@1/R@5/R@10.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,26 +228,54 @@ def capped_text(emb: TextEmbedding, cap: int | None) -> TextEmbedding:
     return TextEmbedding(emb.caption_id, emb.token_matrix[:cap], emb.mask[:cap])
 
 
-def stage_split(corpus: Corpus, split: str, store, text_source,
-                experts: tuple[str, ...], cfg: TrainConfig):
-    """Fetch every caption embedding and clip of a split once, capped."""
+@dataclass(frozen=True)
+class SplitView:
+    """A split's captions or clips, each loaded only when a slice of the
+    view is taken: `view[a:b]` is the list load(key) for keys[a:b]. An
+    evaluation or search pool encoded through it is loaded chunk by chunk
+    (similarity._encode_chunks), never staged whole."""
+
+    keys: list
+    load: Callable
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, part: slice) -> list:
+        return [self.load(key) for key in self.keys[part]]
+
+
+def split_texts(corpus: Corpus, split: str, text_source,
+                cfg: TrainConfig) -> SplitView:
+    """A lazy view of a split's caption embeddings, capped at the word cap,
+    in caption-id order."""
     captions = corpus.captions_for_split(split)
     if not captions:
         raise ValueError(f"corpus has no captions in split {split!r}")
-    texts = {c.caption_id: capped_text(text_source.tokens_for(c), cfg.word_cap)
-             for c in captions}
-    pairs = [(c.caption_id, c.sample_id) for c in captions]
-    return pairs, texts, stage_clips(corpus, split, store, experts, cfg)
+    return SplitView(captions, lambda c: capped_text(text_source.tokens_for(c),
+                                                     cfg.word_cap))
 
 
-def stage_clips(corpus: Corpus, split: str, store, experts: tuple[str, ...],
-                cfg: TrainConfig) -> dict[str, AudioClip]:
-    """Fetch every clip of a split once, capped, keyed by sample id."""
+def split_clips(corpus: Corpus, split: str, store, experts: tuple[str, ...],
+                cfg: TrainConfig) -> SplitView:
+    """A lazy view of a split's clips, capped at the frame caps, in
+    sample-id order."""
     ids = corpus.split_ids(split)
     if not ids:
         raise ValueError(f"corpus has no clips in split {split!r}")
-    return {sid: gather_clip(store, sid, experts, cfg.frame_caps or None)
-            for sid in ids}
+    return SplitView(ids, lambda sid: gather_clip(store, sid, experts,
+                                                  cfg.frame_caps or None))
+
+
+def stage_split(corpus: Corpus, split: str, store, text_source,
+                experts: tuple[str, ...], cfg: TrainConfig):
+    """Fetch every caption embedding and clip of a split once, capped: the
+    split's views (split_texts, split_clips) loaded whole, keyed by id."""
+    texts = split_texts(corpus, split, text_source, cfg)
+    clips = split_clips(corpus, split, store, experts, cfg)
+    pairs = [(c.caption_id, c.sample_id) for c in texts.keys]
+    return (pairs, {t.caption_id: t for t in texts[:]},
+            {c.sample_id: c for c in clips[:]})
 
 
 def _validate(model, texts: dict[str, TextEmbedding],

@@ -4,7 +4,9 @@ caching, study tables, text search, and the command-line surface."""
 import importlib
 import json
 import shutil
+import threading
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +20,11 @@ import audioret.models as md
 import audioret.training as tr
 from audioret.checkpoint import save_checkpoint
 from audioret.cli import main as cli_main
-from audioret.evaluation import MetricsReport, SeedAggregate
+from audioret.corpus import CaptionRecord, Corpus, SampleRecord
+from audioret.evaluation import MetricsReport, SeedAggregate, compute_metrics
+from audioret.experts import (ExpertInfo, ExpertRegistry, FeatureStoreBuilder,
+                              WordTableTextSource, open_feature_store)
+from audioret.models import similarity
 from audioret.models.similarity import encode_clips, similarity_matrix
 from audioret.synthetic import make_synthetic_benchmark, make_word_table
 from helpers import drop_pools, needs_openblas
@@ -872,16 +878,23 @@ def test_search_normalizes_the_pool_once(frozen_ckpt, bundle, monkeypatch):
     assert sum(pool_calls) == 1
 
 
-def _searcher(arch, data, **model):
-    """A Searcher on an untrained checkpoint of `arch` over data's test
-    split, built from the model overrides."""
+def _checkpoint(arch, data, train=None, **model):
+    """An untrained checkpoint of `arch` on data's experts, built from the
+    model overrides, with the train config (word cap 21 by default)."""
     dims = dict(data.expert_dims)
     built = md.build_model(arch, tuple(dims), dims, data.text_source.dim,
                            np.random.default_rng(7), model)
     params = {k: p.data.copy() for k, p in built.named_parameters().items()}
-    ckpt = tr.Checkpoint(arch, built.config_dict(), params,
-                         tr.TrainConfig(arch, steps=0, word_cap=21), [], 0.0, 0)
-    return bn.Searcher(ckpt, data.corpus, data.store, data.text_source)
+    return tr.Checkpoint(arch, built.config_dict(), params,
+                         train or tr.TrainConfig(arch, steps=0, word_cap=21),
+                         [], 0.0, 0)
+
+
+def _searcher(arch, data, **model):
+    """A Searcher on an untrained checkpoint of `arch` over data's test
+    split, built from the model overrides."""
+    return bn.Searcher(_checkpoint(arch, data, **model), data.corpus,
+                       data.store, data.text_source)
 
 
 SMALL = {"moee": TINY_MODEL, "ce": TINY_MODEL,
@@ -975,6 +988,130 @@ def test_small_text_unit_searcher_starts_no_thread(arch, bundle, paper_text,
     for query in QUERIES:
         searcher.search(query, top_k=3)
     assert thread_starts == []
+
+
+# ---------------------------------------------------------------------------
+# streamed pools
+
+DISK_REGISTRY = ExpertRegistry({"ea": ExpertInfo(12, "audio"),
+                                "eb": ExpertInfo(8, "audio")})
+DISK_CLIPS = 13  # more than two chunks of DISK_CHUNK
+DISK_CHUNK = 4
+
+
+@pytest.fixture(scope="module")
+def disk_bundle(tmp_path_factory):
+    """A test split of DISK_CLIPS clips of 2 to 11 float32 frames in an
+    on-disk store, two captions each."""
+    rng = np.random.default_rng(21)
+    table = make_word_table(rng)
+    builder = FeatureStoreBuilder(tmp_path_factory.mktemp("disk") / "store")
+    samples, captions = [], []
+    for i in range(DISK_CLIPS):
+        sid = f"d{i:02d}"
+        samples.append(SampleRecord(sid, 10.0, split="test"))
+        for k in range(2):
+            words = rng.choice(sorted(table.index), size=5, replace=False)
+            captions.append(CaptionRecord(f"{sid}-{k}", sid, " ".join(words)))
+        for expert in ("ea", "eb"):
+            builder.add(expert, sid, rng.standard_normal(
+                (int(rng.integers(2, 12)), DISK_REGISTRY.dim(expert))))
+    store = open_feature_store(builder.finalize(), DISK_REGISTRY)
+    return bn.DataBundle(Corpus("synthetic", samples, captions), store,
+                         WordTableTextSource(table), {"ea": 12, "eb": 8},
+                         table.dim)
+
+
+def _disk_checkpoint(arch, data):
+    """An untrained checkpoint whose caps cut some clips' streams."""
+    return _checkpoint(arch, data, tr.TrainConfig(
+        arch, steps=0, word_cap=4, frame_caps={"ea": 5, "eb": 8}), **SMALL[arch])
+
+
+# the two entry points that encode a split's pool
+ENTRIES = {
+    "evaluate": lambda ckpt, data, split="test":
+        bn.evaluate_checkpoint(ckpt, data, split),
+    "searcher": lambda ckpt, data, split="test":
+        bn.Searcher(ckpt, data.corpus, data.store, data.text_source, split),
+}
+
+
+@pytest.mark.parametrize("arch", ["moee", "ce", "mmt"])
+def test_evaluation_streams_bitwise_the_staged_matrix(arch, disk_bundle,
+                                                      monkeypatch):
+    """evaluate_checkpoint loads its pool chunk by chunk, yet ranks bitwise
+    the matrix of the split staged whole in one list per side, with the
+    same row and column ids."""
+    ckpt = _disk_checkpoint(arch, disk_bundle)
+    _, texts, clips = tr.stage_split(disk_bundle.corpus, "test",
+                                     disk_bundle.store, disk_bundle.text_source,
+                                     ("ea", "eb"), ckpt.train_config)
+    want = similarity_matrix(ckpt.rebuild(), list(texts.values()),
+                             list(clips.values()))
+    ranked = []
+    monkeypatch.setattr(similarity, "ENCODE_CHUNK", DISK_CHUNK)
+    monkeypatch.setattr(bn, "compute_metrics",
+                        lambda sim, gt: ranked.append(sim) or
+                        compute_metrics(sim, gt))
+    bn.evaluate_checkpoint(ckpt, disk_bundle)
+    got = ranked[0]
+    np.testing.assert_array_equal(got.values, want.values)
+    assert (got.row_ids, got.col_ids) == (want.row_ids, want.col_ids)
+    assert len(got.col_ids) == DISK_CLIPS
+
+
+@needs_openblas
+@pytest.mark.parametrize("arch", ["moee", "ce", "mmt"])
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_pools_hold_only_the_clips_of_the_chunks_in_flight(
+        arch, entry, disk_bundle, two_threads, monkeypatch):
+    """At 2 BLAS threads two chunks run at once, so evaluate_checkpoint and
+    Searcher.__init__ hold at most two chunks' clips alive at any time,
+    counted through weak references, and load each clip once."""
+    monkeypatch.setattr(similarity, "ENCODE_CHUNK", DISK_CHUNK)
+    monkeypatch.setattr(blas, "POOL_MIN_WEIGHTS", 0)
+    refs, counts, lock = [], [], threading.Lock()
+    gather = tr.gather_clip
+
+    def counted(*args, **kwargs):
+        clip = gather(*args, **kwargs)
+        with lock:
+            refs.append(weakref.ref(clip))
+            counts.append(sum(ref() is not None for ref in refs))
+        return clip
+
+    monkeypatch.setattr(tr, "gather_clip", counted)
+    ENTRIES[entry](_disk_checkpoint(arch, disk_bundle), disk_bundle)
+    assert len(counts) == DISK_CLIPS
+    assert max(counts) <= 2 * DISK_CHUNK
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_a_missing_feature_file_names_its_sample(entry, disk_bundle,
+                                                 tmp_path, monkeypatch):
+    """A clip loaded inside a chunk task still raises FileNotFoundError
+    naming the sample whose features are missing."""
+    root = tmp_path / "store"
+    shutil.copytree(disk_bundle.store.root, root)
+    (root / "eb" / "d11.mat").unlink()
+    data = replace(disk_bundle,
+                   store=open_feature_store(root, DISK_REGISTRY))
+    monkeypatch.setattr(similarity, "ENCODE_CHUNK", DISK_CHUNK)
+    with pytest.raises(FileNotFoundError, match="sample d11 "):
+        ENTRIES[entry](_disk_checkpoint("moee", data), data)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_an_empty_split_raises_before_any_task(entry, disk_bundle,
+                                               monkeypatch):
+    tasks = []
+    monkeypatch.setattr(blas, "run_pinned",
+                        lambda batch, width: tasks.append(batch))
+    with pytest.raises(ValueError, match="no (captions|clips) in split 'none'"):
+        ENTRIES[entry](_disk_checkpoint("moee", disk_bundle), disk_bundle,
+                       "none")
+    assert tasks == []
 
 
 # ---------------------------------------------------------------------------

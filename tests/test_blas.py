@@ -244,16 +244,22 @@ def test_run_pinned_tasks_see_the_callers_autodiff_flags(two_threads):
 
 
 @needs_openblas
-def test_one_thread_yields_the_count_in_force_before_the_pin(two_threads):
+def test_one_thread_is_a_plain_pin_over_nested_entries(two_threads):
     with blas.one_thread() as outer:
         with blas.one_thread() as inner:
-            assert (outer, inner, _threads()) == (2, 2, 1)
+            assert (outer, inner, _threads()) == (None, None, 1)
+        assert _threads() == 1
+    assert _threads() == 2
 
 
-def test_one_thread_yields_one_without_the_library(monkeypatch):
+def test_one_thread_is_a_plain_no_op_without_the_library(monkeypatch):
+    api = blas._openblas()
+    count = api and api[0]()
     monkeypatch.setattr(blas, "_openblas", lambda: None)
-    with blas.one_thread() as threads:
-        assert threads == 1
+    with blas.one_thread() as pinned:
+        assert pinned is None
+        assert (api and api[0]()) == count
+    assert (api and api[0]()) == count
 
 
 def _spy_setter(monkeypatch) -> list[int]:

@@ -65,6 +65,31 @@ class TestFeatureStore:
         np.testing.assert_array_equal(stream.matrix.astype(np.float32), m)
         assert stream.sample_id == "s1" and stream.expert == "synthA"
 
+    def test_clip_stages_float32_owning_at_most_its_cap(self, tmp_path,
+                                                         registry):
+        """An on-disk clip keeps the store's float32, and a stream longer
+        than its cap is a copy of its first rows, not a view that keeps
+        the uncapped matrix alive."""
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((9, 12)).astype(np.float32)
+        b = rng.standard_normal((3, 8)).astype(np.float32)
+        root = _write_store(tmp_path, registry,
+                            [("synthA", "s1", a), ("synthB", "s1", b)])
+        clip = ex.gather_clip(ex.open_feature_store(root, registry), "s1",
+                              ("synthA", "synthB"), {"synthA": 4, "synthB": 5})
+        for expert, want in (("synthA", a[:4]), ("synthB", b)):
+            got = clip.streams[expert]
+            assert got.dtype == np.float32 and got.flags.owndata
+            np.testing.assert_array_equal(got, want)
+
+    def test_in_memory_store_stays_float64(self):
+        store = ex.InMemoryFeatureStore()
+        store.add("synthA", "s1", np.ones((3, 12), dtype=np.float32))
+        clip = ex.gather_clip(store, "s1", ("synthA",), {"synthA": 2})
+        assert store.fetch("s1", "synthA").matrix.dtype == np.float64
+        assert clip.streams["synthA"].dtype == np.float64
+        assert clip.streams["synthA"].shape == (2, 12)
+
     def test_missing_index_errors(self, tmp_path, registry):
         with pytest.raises(FileNotFoundError, match="no index"):
             ex.open_feature_store(tmp_path / "empty", registry)

@@ -718,6 +718,33 @@ def test_encode_clips_rejects_an_empty_pool():
         md.encode_clips(model, [])
 
 
+@pytest.mark.parametrize("arch", ["moee", "ce", "mmt"])
+def test_float32_streams_encode_bitwise_like_their_float64_upcast(arch):
+    """Streams kept float32 at rest are upcast once per batch, so they
+    encode bitwise like their float64 upcast, as a batch, alone (row by
+    row) and as masked pairs; NetVLAD's models also under any frame
+    permutation (MMT's frames carry positions)."""
+    rng = np.random.default_rng(990)
+    model, _ = _random_model(arch, rng)
+    low = [{e: m.astype(np.float32) for e, m in
+            _random_clip(rng, model, f"a{j}", 9).streams.items()}
+           for j in range(6)]
+    high = [{e: m.astype(np.float64) for e, m in s.items()} for s in low]
+    for batch in (slice(None), slice(0, 1)):
+        np.testing.assert_array_equal(model.encode_audio(low[batch]).vectors.data,
+                                      model.encode_audio(high[batch]).vectors.data)
+    want = model.encode_audio(high).vectors.data
+    masked = [{e: (np.vstack([m, np.full((2, m.shape[1]), 7.0, np.float32)]),
+                   np.arange(len(m) + 2) < len(m)) for e, m in s.items()}
+              for s in low]
+    np.testing.assert_array_equal(model.encode_audio(masked).vectors.data, want)
+    if arch != "mmt":
+        shuffled = [{e: m[rng.permutation(len(m))] for e, m in s.items()}
+                    for s in low]
+        np.testing.assert_array_equal(model.encode_audio(shuffled).vectors.data,
+                                      want)
+
+
 def test_mmt_clip_alone_matches_its_row_among_changing_batchmates():
     """Each MMT item's dense layers are one GEMM over its own rows, so a
     clip encoded alone is bitwise its row of any batch, at widths where a

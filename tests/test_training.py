@@ -284,6 +284,17 @@ class TestInPlaceUpdate:
             tracemalloc.stop()
         assert peak < leaf.data.nbytes / 8
 
+    def test_scratch_fits_the_longest_slice_the_model_can_take(self):
+        """A model below the fan-out cut-off always steps serially, so its
+        scratch is at most CHUNK long; a larger one keeps WIDE_CHUNK for
+        its shares."""
+        for size, length in ((7, 7), (2 * optim.CHUNK + 5, optim.CHUNK),
+                             (blas.POOL_MIN_WEIGHTS, optim.WIDE_CHUNK)):
+            leaf = ad.Tensor(np.zeros(size), requires_grad=True)
+            for opt in (optim.Adam({"x": leaf}, lr=0.01),
+                        optim.Lookahead(optim.Adam({"x": leaf}, lr=0.01))):
+                assert {s.shape[1] for s in opt._scratch} == {length}
+
     def test_rejects_non_contiguous_parameter(self):
         leaf = ad.Tensor(np.zeros((3, 4)).T, requires_grad=True)
         with pytest.raises(ValueError, match="C-contiguous"):
