@@ -43,7 +43,8 @@ DATA_ENV = "AUDIORET_DATA_ROOT"
 # run artifacts from earlier numerics are never served for a new run.
 # 6: a batch of one item multiplies its rows by GEMV, not einsum.
 # 7: validation encodes every chunk on one pinned BLAS thread.
-NUMERICS_VERSION = 7
+# 8: train() drops train captions with no in-vocabulary token.
+NUMERICS_VERSION = 8
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
@@ -440,10 +441,14 @@ def _run_study(cfg: ExperimentConfig, bundle: DataBundle, rows: list[_Row],
                extra: dict | None = None) -> ResultTable:
     """Every row's seeds through run_single, evaluated on `bundle`; the
     table is saved once, under cfg.run_key(extra)."""
-    for row in rows:  # fail on a typo before any row trains
+    for row in rows:  # fail on a typo or a bad value before any row trains
         _check_config(row.cfg, row.train_data or bundle)
         if row.source is not None:
             _check_config(*row.source)
+        for seed in row.cfg.seeds[:1]:
+            _build_configs(row.cfg, seed)
+            if row.source is not None:
+                _build_configs(row.source[0], seed)
     table, row_dirs = ResultTable([]), set()
     for row in rows:
         run_dir = RunDir(row.cfg, row.extra)

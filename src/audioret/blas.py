@@ -15,11 +15,13 @@ would also pin training's GEMMs, which run outside run_pinned.
 After a threaded BLAS call, OpenBLAS's own workers spin for about 2^28
 cycles (0.12 s on a 2-core host) before they sleep, and a pin does not
 stop them, so they take a core from the tasks of a fan-out that follows
-at once. `park()` stops them; the next threaded call after the pin
-starts them again, and they spin again after it. So park belongs only
-where a threaded call came just before, as in training after the
-backward pass; evaluation and search never call it, since every exit
-from their pins would leave a fresh spinner behind.
+at once. `park()` stops them, but the exit from a pin that parked starts
+a worker again, which spins for about 0.12 s, whether or not a threaded
+call came before the park. A pin that did not park leaves no spinner,
+with or without a pinned call inside. So park belongs only where a threaded call
+came just before, as in training after the backward pass; evaluation and
+search never call it, since each exit from their pins would then leave a
+fresh spinner behind.
 """
 
 from __future__ import annotations
@@ -108,8 +110,7 @@ def threads() -> int | None:
 def width(entries: int) -> int:
     """How many tasks wide work whose largest matrix has `entries` entries
     runs: 1 below POOL_MIN_WEIGHTS or without the library, else the thread
-    count in force outside any pin. It neither enters nor leaves a pin,
-    whose exit would restart a spinning OpenBLAS worker."""
+    count in force outside any pin. It neither enters nor leaves a pin."""
     api = _openblas()
     if api is None or entries < POOL_MIN_WEIGHTS:
         return 1
@@ -119,8 +120,8 @@ def width(entries: int) -> int:
 
 def park() -> None:
     """Under a pin, stop OpenBLAS's idle worker threads, so that none spins
-    on a core the block's own tasks need; the first threaded call after
-    the pin starts them again. Outside a pin, or without the library's
+    on a core the block's own tasks need; the pin's exit starts a worker
+    that spins again. Outside a pin, or without the library's
     blas_thread_shutdown_, it does nothing. Call it only after a threaded
     BLAS call (see the module docstring)."""
     shutdown = _thread_shutdown()

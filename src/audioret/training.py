@@ -83,6 +83,13 @@ class TrainConfig:
         budget = self.epochs if self.epochs is not None else self.steps
         if budget < 0:
             raise ValueError("schedule budget must be >= 0")
+        # a cap below 1 would drop a stream's last entries or empty it
+        if self.word_cap is not None and self.word_cap < 1:
+            raise ValueError(f"word cap must be >= 1, got {self.word_cap}")
+        for expert, cap in self.frame_caps.items():
+            if cap < 1:
+                raise ValueError(f"frame cap for {expert!r} must be >= 1, "
+                                 f"got {cap}")
 
 
 def scheduled_lr(lr0: float, decay: float, periods: int) -> float:
@@ -299,11 +306,27 @@ def train(model, corpus: Corpus, store, text_source, cfg: TrainConfig,
 
     Deterministic given the model's initial parameters, cfg.seed, and the
     staged data; aborts on a non-finite loss rather than skipping steps.
+    A train caption with no in-vocabulary token is dropped, with one
+    warning, since its all-masked input can blow up a gradient (MMT's
+    text-unit biases); validation keeps such captions as queries.
+
+    A step's gradients live from its backward pass until the next step's
+    backward pass or the next validation, whichever comes first: every
+    validation starts by releasing them, so the best-parameters copy and
+    the validation's encodings can reuse their memory. Every schedule ends
+    with a validation, so the model leaves train() holding no gradient.
     """
     rng = np.random.default_rng(cfg.seed)
     experts = tuple(model.cfg.experts)
     pairs, train_texts, train_clips = stage_split(
         corpus, "train", store, text_source, experts, cfg)
+    empty = [cid for cid, t in train_texts.items() if not t.mask.any()]
+    if empty:
+        warnings.warn(f"dropping {len(empty)} train captions with no "
+                      f"in-vocabulary token (e.g. {empty[0]})")
+        for cid in empty:
+            del train_texts[cid]
+        pairs = [pair for pair in pairs if pair[0] in train_texts]
     _, val_texts, val_clips = stage_split(
         corpus, "val", store, text_source, experts, cfg)
     val_gt = t2a_ground_truth(corpus.of_split("val"))
@@ -326,6 +349,7 @@ def train(model, corpus: Corpus, store, text_source, cfg: TrainConfig,
     window: list[float] = []
 
     def run_validation() -> None:
+        opt.zero_grad()  # the step that made them has been applied
         report = _validate(model, val_texts, val_clips, val_gt)
         mean_loss = float(np.mean(window)) if window else float("nan")
         window.clear()

@@ -632,6 +632,28 @@ def test_every_row_checked_before_the_first_trains(bundle, tmp_path,
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("section, key, value, match", [
+    ("train", "word_cap", -1, "word cap must be >= 1"),
+    ("train", "word_cap", 0, "word cap must be >= 1"),
+    ("train", "frame_caps", {"ea": 4, "eb": -2}, "frame cap for 'eb'"),
+    ("train", "lr_decay", 1.5, "decay factor"),
+    ("loss", "margin", 0.0, "margin must be positive")])
+def test_rejected_value_fails_before_any_run_dir(bundle, tmp_path, monkeypatch,
+                                                 section, key, value, match):
+    """A value TrainConfig or LossConfig rejects fails the study before any
+    row trains or writes a RunDir, in the last row of an ablation too."""
+    monkeypatch.setattr(tr, "train", lambda *a, **kw: pytest.fail("trained"))
+    cfg = tiny_config(tmp_path / "runs")
+    getattr(cfg, section)[key] = value
+    with pytest.raises(ValueError, match=match):
+        bn.run_benchmark(cfg, data=bundle)
+    good = tiny_config(tmp_path / "runs")
+    rows = [bn._Row("ok", good), bn._Row("bad", cfg)]
+    with pytest.raises(ValueError, match=match):
+        bn._run_study(good, bundle, rows)
+    assert not (tmp_path / "runs").exists()
+
+
 def _study_layouts(cfg):
     """Each study's runner and the (config, run-key extra) of every
     directory it writes, with the files each directory holds."""

@@ -50,7 +50,7 @@ def test_summary_of_canned_pairs():
     assert out["pairs"]["work_s"] == {
         "change_wins": 3, "pairs": 4, "ratio_of_medians": 2.0 / 2.5,
         "parent_iqr": 1.5, "median_gap": 0.5, "claim_rule": False,
-        "within_bound": None}
+        "within_bound": None, "resolved": None}
     # higher is better: the change won pairs 1, 3 and 4
     assert out["pairs"]["items_per_s"]["change_wins"] == 3
     assert out["pairs"]["items_per_s"]["ratio_of_medians"] == \
@@ -107,6 +107,52 @@ def test_regression_beyond_the_bound():
         assert pairs["items_per_s"]["within_bound"] is within
     assert bench_pairs.summarize(*_sides([1.0] * 10, [1.2] * 10),
                                  BOUNDED)["pairs"]["work_s"]["within_bound"]
+
+
+def test_spread_beyond_the_bound_is_unresolved():
+    """A parent IQR wider than bound x median leaves a metric unresolved,
+    unless every change run beats every parent run; an IQR within it
+    resolves the metric whichever way it moved."""
+    parent = [1.0, 0.6, 1.4, 0.7, 1.3, 1.0, 0.6, 1.4, 0.7, 1.3]  # IQR 0.6
+    overlap = bench_pairs.summarize(*_sides(parent, [0.5] + parent[1:]),
+                                    BOUNDED)["pairs"]["work_s"]
+    assert overlap["parent_iqr"] > 0.25 * 1.0
+    assert overlap["within_bound"] and overlap["resolved"] is False
+    beats = bench_pairs.summarize(*_sides(parent, [0.55] * 10),
+                                  BOUNDED)["pairs"]["work_s"]
+    assert beats["resolved"] is True
+    # higher is better: every change rate above every parent rate
+    rates = [_record(i, 1.0, r, 0.5) for i, r in enumerate(
+        [100.0, 60.0, 140.0, 70.0, 130.0] * 2)]
+    faster = [_record(i, 1.0, 141.0, 0.5) for i in range(10)]
+    slower = [_record(i, 1.0, 59.0, 0.5) for i in range(10)]
+    assert bench_pairs.summarize(rates, faster, BOUNDED)[
+        "pairs"]["items_per_s"]["resolved"] is True
+    assert bench_pairs.summarize(rates, slower, BOUNDED)[
+        "pairs"]["items_per_s"]["resolved"] is False
+    # a steady parent resolves a metric, also one that got worse
+    steady = bench_pairs.summarize(*_sides([1.0, 1.1, 0.9, 1.0] * 2 + [1.0] * 2,
+                                           [1.3] * 10), BOUNDED)["pairs"]
+    assert steady["work_s"]["resolved"] is True
+    assert steady["work_s"]["within_bound"] is False
+
+
+def test_checkouts_at_paths_of_different_lengths_refused(tmp_path, capsys,
+                                                         monkeypatch):
+    """The tool exits naming both lengths before it runs anything."""
+    (tmp_path / "p").mkdir()
+    (tmp_path / "longer").mkdir()
+    monkeypatch.setattr(bench_pairs, "run_one",
+                        lambda *a: pytest.fail("ran a checkout"))
+    parent, change = (tmp_path / "p").resolve(), (tmp_path / "longer").resolve()
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                          "--workload", "paper_step", "--seeds", "1",
+                          "--label", "x"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert (f"parent {len(str(parent))}, change {len(str(change))}" in err
+            and "differ in length" in err)
 
 
 def test_summary_needs_paired_runs():

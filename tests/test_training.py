@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from audioret import autodiff as ad
+from audioret import bench as bn
 from audioret import blas
 from audioret import models as md
 from audioret import optim
 from audioret import training as tr
 from audioret.checkpoint import load_checkpoint, save_checkpoint
+from audioret.corpus import CaptionRecord, Corpus
 from audioret.evaluation import MetricsReport
 from audioret.models import blocks, mmt
 from audioret.synthetic import make_synthetic_benchmark
@@ -516,6 +518,19 @@ class TestConfigs:
         with pytest.raises(ValueError, match="decay"):
             tr.TrainConfig("moee", epochs=1, lr_decay=1.5)
 
+    @pytest.mark.parametrize("caps, match", [
+        (dict(word_cap=-1), "word cap must be >= 1, got -1"),
+        (dict(word_cap=0), "word cap must be >= 1, got 0"),
+        (dict(frame_caps={"VGGish": -2}), "frame cap for 'VGGish'"),
+        (dict(frame_caps={"VGGish": 31, "VGGSound": 0}),
+         "frame cap for 'VGGSound' must be >= 1, got 0")])
+    def test_caps_below_one_rejected(self, caps, match):
+        """A cap below 1 would silently drop a stream's last entries (a
+        negative slice end) or empty it."""
+        with pytest.raises(ValueError, match=match):
+            tr.TrainConfig("moee", epochs=1, **caps)
+        tr.TrainConfig("moee", epochs=1, word_cap=1, frame_caps={"VGGish": 1})
+
     def test_default_caps_table(self):
         words, frames = tr.default_caps("audiocaps", "ce")
         assert words == 52 and frames == {"VGGish": 10, "VGGSound": 32}
@@ -630,6 +645,83 @@ class TestTrainLoop:
                         _train_cfg(architecture="ce", epochs=15),
                         tr.LossConfig(batch_size=8))
         assert ckpt.selection_score > start.selection_score
+
+
+def _paper_cfgs(arch, **kw):
+    """A short step schedule under the architecture's own optimizer, lr,
+    weight decay and margin (bench.ARCH_DEFAULTS), validating every 2
+    steps, at batch 4."""
+    defaults = bn.ARCH_DEFAULTS[arch]
+    return (tr.TrainConfig(architecture=arch, steps=4, val_every_steps=2,
+                           lr=defaults["lr"], optimizer=defaults["optimizer"],
+                           weight_decay=defaults["weight_decay"], **kw),
+            tr.LossConfig(margin=defaults["margin"], batch_size=4))
+
+
+ARCHS = ("moee", "ce", "mmt")
+
+
+class TestGradientLifetime:
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_no_gradient_during_validation_or_after_train(self, arch,
+                                                          monkeypatch):
+        """Every validation, mid-run and last, starts with every gradient
+        released, and train() returns a model that holds none."""
+        bench = make_synthetic_benchmark(np.random.default_rng(0), n_pairs=8)
+        model = tiny_model(arch, bench)
+        params = model.named_parameters()
+        held, validate = [], tr._validate
+
+        def spy(*args):
+            held.append(sorted(k for k, p in params.items()
+                               if p.grad is not None))
+            return validate(*args)
+
+        monkeypatch.setattr(tr, "_validate", spy)
+        ckpt = tr.train(model, bench.corpus, bench.store, bench.text_source,
+                        *_paper_cfgs(arch))
+        assert [step for step, _ in ckpt.history] == [2, 4]
+        assert held == [[], []]
+        assert [k for k, p in params.items() if p.grad is not None] == []
+
+    def test_finetune_leaves_no_gradient(self, monkeypatch):
+        bench = make_synthetic_benchmark(np.random.default_rng(1), n_pairs=8)
+        ckpt = tr.train(tiny_model("moee", bench), bench.corpus, bench.store,
+                        bench.text_source, _train_cfg(epochs=1),
+                        tr.LossConfig(batch_size=4))
+        built, build = [], md.model_from_config
+        monkeypatch.setattr(md, "model_from_config",
+                            lambda *a: built.append(build(*a)) or built[-1])
+        tr.finetune(ckpt, bench.corpus, bench.store, bench.text_source,
+                    _train_cfg(epochs=2), tr.LossConfig(batch_size=4))
+        assert all(p.grad is None for p in built[0].named_parameters().values())
+
+
+class TestCaptionsWithoutKnownWords:
+    @pytest.mark.parametrize("arch", ARCHS)
+    def test_train_caption_dropped_with_one_warning(self, arch, recwarn):
+        """A train caption whose tokens are all out of vocabulary is dropped
+        before batching: one warning, and parameters, history and log
+        bitwise those of a run on the corpus without it. A val caption like
+        it stays a query in both runs."""
+        bench = make_synthetic_benchmark(np.random.default_rng(2), n_pairs=8)
+        val_oov = CaptionRecord("c-v0003-oov", "v0003", "qqq zzz")
+        runs = {}
+        for name, extra in (("clean", ()), ("oov", (CaptionRecord(
+                "c-t0001-oov", "t0001", "xyzzy plugh"),))):
+            corpus = Corpus(bench.corpus.name, bench.corpus.samples,
+                            bench.corpus.captions + [val_oov, *extra])
+            runs[name] = tr.train(tiny_model(arch, bench, seed=5), corpus,
+                                  bench.store, bench.text_source,
+                                  *_paper_cfgs(arch, seed=3))
+        messages = [str(w.message) for w in recwarn]
+        assert messages == ["dropping 1 train captions with no in-vocabulary "
+                            "token (e.g. c-t0001-oov)"]
+        clean, oov = runs["clean"], runs["oov"]
+        assert oov.log_lines == clean.log_lines
+        assert [rep.query_count for _, rep in oov.history] == [9, 9]
+        for name, arr in clean.params.items():
+            assert arr.tobytes() == oov.params[name].tobytes(), name
 
 
 class TestCheckpointRebuild:

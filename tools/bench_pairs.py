@@ -15,8 +15,15 @@ the parent's interquartile range, the gap between the medians and two
 verdicts: `claim_rule`, whether the change won at least 9 pairs in 10 and
 its median is better than the parent's by more than the parent's
 interquartile range, and `within_bound`, whether its median is worse than
-the parent's by no more than the metric's bound in BENCHMARK.json. An
+the parent's by no more than the metric's bound in BENCHMARK.json; and
+`resolved`, false when the parent's interquartile range exceeds the bound
+times the parent's median, so that its runs spread too widely for the
+bound to tell, unless every change run beats every parent run. An
 existing file keeps its other workloads and sections.
+
+Both checkouts must sit at absolute paths of equal length, since a
+workload's peak RSS moves with the checkout's path; the tool refuses
+others before any run starts.
 """
 
 from __future__ import annotations
@@ -78,6 +85,7 @@ def summarize(parent: list[dict], change: list[dict], gated: list[dict]) -> dict
         before = out["parent"]["end_to_end"][name]
         after = out["change"]["end_to_end"][name]
         wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
+        beats_all = max(b) < min(a) if lower else min(b) > max(a)
         iqr = before["q3"] - before["q1"]
         # how much better the change's median is, in the metric's direction
         gain = (before["median"] - after["median"]) * (1 if lower else -1)
@@ -90,6 +98,8 @@ def summarize(parent: list[dict], change: list[dict], gated: list[dict]) -> dict
             "claim_rule": 10 * wins >= 9 * len(a) and gain > iqr,
             "within_bound": (None if "bound" not in entry else
                              -gain <= entry["bound"] * before["median"]),
+            "resolved": (None if "bound" not in entry else beats_all
+                         or iqr <= entry["bound"] * before["median"]),
         }
     out["pairs"] = pairs
     return out
@@ -125,6 +135,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=parse_seeds, required=True)
     parser.add_argument("--label", required=True)
     args = parser.parse_args(argv)
+    lengths = [len(str(path.resolve())) for path in (args.parent, args.change)]
+    if lengths[0] != lengths[1]:
+        parser.error(f"the checkouts' absolute paths differ in length "
+                     f"(parent {lengths[0]}, change {lengths[1]}); peak RSS "
+                     f"moves with the path, so put both at equal lengths")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     out_path = Path(f"BENCH_{args.label}.json")
     bench = (json.loads(out_path.read_text()) if out_path.exists()
