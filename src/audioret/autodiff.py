@@ -509,15 +509,13 @@ def segment_sum(a, offsets) -> Tensor:
     return _make(data, (a,), backward)
 
 
-def segment_attention(q, k, v, offsets, heads: int,
-                      sink: list | None = None, q_offsets=None) -> Tensor:
+def segment_attention(q, k, v, offsets, heads: int, q_offsets=None) -> Tensor:
     """Multi-head scaled dot-product attention inside each row segment.
 
     q, k and v are N x D; segment s = offsets[i]:offsets[i + 1] attends
     only to itself, head h using columns h*D/heads:(h+1)*D/heads. With
     `q_offsets`, q is M x D and segment i's queries are its rows
-    q_offsets[i]:q_offsets[i + 1]. Each segment's attention matrices
-    (queries x keys) are appended to `sink` when given.
+    q_offsets[i]:q_offsets[i + 1].
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     dim = k.shape[1]
@@ -541,8 +539,6 @@ def segment_attention(q, k, v, offsets, heads: int,
         p = e / e.sum(axis=2, keepdims=True)
         probs.append(p)
         data[qlo:qhi] = merge(p @ split(v.data, lo, hi))
-        if sink is not None:
-            sink.extend(p[h].copy() for h in range(heads))
 
     def backward(g):
         gq, gk, gv = (np.empty(m.shape) for m in (q, k, v))
@@ -692,16 +688,6 @@ def sigmoid(a) -> Tensor:
 
     def backward(g):
         return (g * out * (1.0 - out),)
-
-    return _make(out, (a,), backward)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-
-    def backward(g):
-        return (g * (1.0 - out * out),)
 
     return _make(out, (a,), backward)
 

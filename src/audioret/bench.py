@@ -48,6 +48,7 @@ NUMERICS_VERSION = 8
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
+SUBSAMPLE_SEED = 0  # the scale study's subsamples; its run keys name it
 # the one entry each study's config section holds
 STUDY_ENTRIES = {"ablate": "subsets", "transfer": "source", "scale": "fractions"}
 
@@ -183,9 +184,9 @@ def experiment_from_sections(sections: dict[str, dict[str, str]],
     exp = dict(sections.get("experiment", {}))
     kwargs = {
         "dataset": exp.pop("dataset", None),
-        "architecture": exp.pop("arch", exp.pop("architecture", None)),
+        "architecture": exp.pop("arch", None),
         "experts": _parse_list(exp.pop("experts", ""), str),
-        "out_dir": exp.pop("out", exp.pop("out_dir", "runs")),
+        "out_dir": exp.pop("out", "runs"),
     }
     if "seeds" in exp:
         kwargs["seeds"] = _parse_list(exp.pop("seeds"), int)
@@ -202,9 +203,9 @@ def experiment_from_sections(sections: dict[str, dict[str, str]],
     kwargs["extras"] = {name: dict(table) for name, table in sections.items()
                         if name in STUDY_ENTRIES}
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
-    missing = [k for k in ("dataset", "architecture") if not kwargs.get(k)]
-    if missing:
-        raise ValueError(f"config is missing experiment.{missing[0]}")
+    for key, name in (("dataset", "dataset"), ("arch", "architecture")):
+        if not kwargs.get(name):
+            raise ValueError(f"config is missing experiment.{key}")
     return ExperimentConfig(**kwargs)
 
 
@@ -524,21 +525,20 @@ def subsample_train(corpus: Corpus, fraction: float, seed: int) -> Corpus:
 
 
 def run_scale_study(cfg: ExperimentConfig, fractions=DEFAULT_FRACTIONS,
-                    data: DataBundle | None = None,
-                    subsample_seed: int = 0) -> ResultTable:
+                    data: DataBundle | None = None) -> ResultTable:
     """Metric-vs-training-fraction curve over nested seeded subsamples."""
     fractions = tuple(float(f) for f in fractions)
     bundle = data or load_data(cfg)
     rows = []
     for f in fractions:
         sub = replace(bundle, corpus=subsample_train(bundle.corpus, f,
-                                                     subsample_seed))
-        extra = {"fraction": f, "subsample_seed": subsample_seed}
+                                                     SUBSAMPLE_SEED))
+        extra = {"fraction": f, "subsample_seed": SUBSAMPLE_SEED}
         rows.append(_Row(f"frac={f:g} (n={len(sub.corpus.split_ids('train'))})",
                          cfg, None if f == 1.0 else extra, sub))
     return _run_study(cfg, bundle, rows, {"study": "scale",
                                           "fractions": list(fractions),
-                                          "subsample_seed": subsample_seed})
+                                          "subsample_seed": SUBSAMPLE_SEED})
 
 
 # ---------------------------------------------------------------------------

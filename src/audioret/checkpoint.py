@@ -17,8 +17,8 @@ its views raise SIGBUS), so `save_checkpoint` always writes a new file and
 renames it over the old one; a checkpoint loaded from the old file keeps
 reading the old values.
 
-Version 1 files, zip archives of ``manifest.json`` and float32 store
-matrices (``params/<name>.mat``), still load, widened to float64.
+A file that starts with the zip signature, as every version 1 file does,
+is refused as an unsupported version.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import json
 import math
 import mmap
 import os
-import zipfile
 import zlib
 from dataclasses import asdict
 from pathlib import Path
@@ -35,12 +34,12 @@ from pathlib import Path
 import numpy as np
 
 from .evaluation import report_from_dict, report_to_dict
-from .experts import decode_matrix
 from .training import Checkpoint, TrainConfig
 
 FORMAT = "audioret-checkpoint"
 VERSION = 2
 MAGIC = FORMAT.encode() + b"\n"
+ZIP_MAGIC = b"PK\x03\x04"  # how every version 1 file starts
 ALIGN = 64  # bytes: every tensor starts on a multiple of it
 CRC_BUFFER = 1 << 20  # bytes read at a time to check a tensor
 _F8 = np.dtype("<f8")
@@ -97,15 +96,14 @@ def save_checkpoint(ckpt: Checkpoint, path: Path | str) -> Path:
 def load_checkpoint(path: Path | str) -> Checkpoint:
     path = Path(path)
     with open(path, "rb") as f:
-        if f.read(len(MAGIC)) == MAGIC:
-            manifest, params = _read_v2(f, path)
-        elif zipfile.is_zipfile(f):
-            manifest, params = _read_v1(path)
-        else:
+        head = f.read(len(MAGIC))
+        if head.startswith(ZIP_MAGIC):
+            raise ValueError(f"unsupported checkpoint version 1 (zip): {path}")
+        if head != MAGIC:
             raise ValueError(f"not a checkpoint archive: {path}")
+        manifest, params = _read_v2(f, path)
     cfg_dict = manifest["train_config"]
-    for key in ("checkpoint_every", "log_path"):  # retired keys of older files
-        cfg_dict.pop(key, None)
+    cfg_dict.pop("log_path", None)  # retired after format 2
     cfg_dict["frame_caps"] = {k: int(v)
                               for k, v in (cfg_dict.get("frame_caps") or {}).items()}
     train_config = TrainConfig(**cfg_dict)
@@ -117,14 +115,6 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
                       int(manifest["best_step"]), blas=manifest.get("blas"))
 
 
-def _check_manifest(manifest, version: int, path: Path) -> None:
-    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT:
-        raise ValueError(f"not a checkpoint archive: {path}")
-    if manifest.get("version") != version:
-        raise ValueError(f"unsupported checkpoint version "
-                         f"{manifest.get('version')!r}")
-
-
 def _read_v2(f, path: Path) -> tuple[dict, dict[str, np.ndarray]]:
     """The manifest and read-only float64 views of every tensor, each
     checked against its CRC-32 before the file is mapped."""
@@ -132,7 +122,11 @@ def _read_v2(f, path: Path) -> tuple[dict, dict[str, np.ndarray]]:
         manifest = json.loads(f.readline())
     except ValueError:  # undecodable bytes or malformed JSON
         raise ValueError(f"not a checkpoint archive (bad manifest): {path}") from None
-    _check_manifest(manifest, VERSION, path)
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT:
+        raise ValueError(f"not a checkpoint archive: {path}")
+    if manifest.get("version") != VERSION:
+        raise ValueError(f"unsupported checkpoint version "
+                         f"{manifest.get('version')!r}")
     table = manifest["tensors"]
     shapes = {name: [int(d) for d in shape] for name, (_, shape, _) in table.items()}
     if any(d < 0 for shape in shapes.values() for d in shape):
@@ -164,24 +158,3 @@ def _read_v2(f, path: Path) -> tuple[dict, dict[str, np.ndarray]]:
         name: np.frombuffer(mapped, _F8, count=math.prod(shapes[name]),
                             offset=start + offset).reshape(shapes[name])
         for name, offset in offsets.items()}
-
-
-def _read_v1(path: Path) -> tuple[dict, dict[str, np.ndarray]]:
-    """The manifest and every float32 tensor of a zip archive, as float64."""
-    with zipfile.ZipFile(path) as archive:
-        names = set(archive.namelist())
-        if "manifest.json" not in names:
-            raise ValueError(f"not a checkpoint archive (no manifest): {path}")
-        manifest = json.loads(archive.read("manifest.json"))
-        _check_manifest(manifest, 1, path)
-        params = {}
-        for name, shape in manifest["tensors"].items():
-            member = f"params/{name}.mat"
-            if member not in names:
-                raise ValueError(f"checkpoint tensor missing: {name}")
-            values = decode_matrix(archive.read(member),
-                                   f"checkpoint tensor {name}").astype(np.float64)
-            if values.size != int(np.prod(shape)):
-                raise ValueError("checkpoint tensor does not match manifest shape")
-            params[name] = values.reshape(shape)
-    return manifest, params

@@ -177,8 +177,8 @@ class SeedAggregate:
     runs: int
     pool_size: int
 
-    def cell(self, column: str, digits: int = 1) -> str:
-        return f"{self.means[column]:.{digits}f}±{self.stds[column]:.{digits}f}"
+    def cell(self, column: str) -> str:
+        return f"{self.means[column]:.1f}±{self.stds[column]:.1f}"
 
 
 def aggregate_seeds(reports: list[MetricsReport]) -> SeedAggregate:

@@ -1,4 +1,5 @@
-"""Precomputed feature streams, caption token embeddings, and text sources.
+"""Precomputed feature streams, caption token embeddings, and the text
+source that embeds a caption's tokens through a word-embedding table.
 
 Feature store layout on disk::
 
@@ -124,40 +125,28 @@ class AudioClip:
 # -- matrix file format ------------------------------------------------
 
 
-def encode_matrix(matrix: np.ndarray) -> bytes:
-    """A T x D matrix in the store's binary format (float32)."""
+def write_matrix(path: Path | str, matrix: np.ndarray) -> None:
+    """Write a T x D matrix in the store's binary format (float32)."""
     m = np.ascontiguousarray(matrix, dtype="<f4")
     if m.ndim != 2:
         raise ValueError("only 2-D matrices are stored")
-    return MAGIC + struct.pack("<II", *m.shape) + m.tobytes()
-
-
-def decode_matrix(blob: bytes, where: str | Path) -> np.ndarray:
-    """The float32 T x D matrix of an encode_matrix blob, read-only;
-    `where` names the blob's source in errors."""
-    if blob[:6] != MAGIC:
-        raise ValueError(f"bad magic in {where}")
-    rows, cols = struct.unpack("<II", blob[6:14])
-    if len(blob) != 14 + rows * cols * 4:
-        raise ValueError(f"truncated matrix in {where}")
-    return np.frombuffer(blob[14:], dtype="<f4").reshape(rows, cols)
-
-
-def write_matrix(path: Path | str, matrix: np.ndarray) -> None:
-    """Write a T x D matrix in the store's binary format (float32)."""
-    blob = encode_matrix(matrix)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(blob)
+    path.write_bytes(MAGIC + struct.pack("<II", *m.shape) + m.tobytes())
 
 
 def read_matrix(path: Path | str) -> np.ndarray:
     """Read a matrix written by write_matrix; returns float32 T x D."""
-    # the blob outlives the copy, and decode_matrix reads a copy of the
+    blob = Path(path).read_bytes()
+    if blob[:6] != MAGIC:
+        raise ValueError(f"bad magic in {path}")
+    rows, cols = struct.unpack("<II", blob[6:14])
+    if len(blob) != 14 + rows * cols * 4:
+        raise ValueError(f"truncated matrix in {path}")
+    # the blob outlives the copy, and the view is of a copy of the
     # payload: with either one changed, evaluating a 200-clip store twice
     # peaked 10 MB higher in RSS (heap fragmentation)
-    blob = Path(path).read_bytes()
-    return decode_matrix(blob, path).copy()
+    return np.frombuffer(blob[14:], dtype="<f4").reshape(rows, cols).copy()
 
 
 # -- feature stores ----------------------------------------------------
@@ -354,38 +343,6 @@ class WordTableTextSource:
 
     def tokens_for(self, caption) -> TextEmbedding:
         return embed_tokens(caption.text, self.table, caption.caption_id)
-
-
-class PrecomputedTextSource:
-    """Text provider reading contextual token matrices from .mat files.
-
-    Layout: <root>/<provider>/<caption_id>.mat in the store matrix
-    format; used for architectures whose text encoder is an external
-    pretrained model.
-    """
-
-    def __init__(self, root: Path | str, provider: str = "textenc"):
-        self.dir = Path(root) / provider
-        if not self.dir.is_dir():
-            raise FileNotFoundError(f"no text-feature directory at {self.dir}")
-        self._dim: int | None = None
-
-    def tokens_for(self, caption) -> TextEmbedding:
-        _check_id(caption.caption_id)
-        path = self.dir / f"{caption.caption_id}.mat"
-        if not path.exists():
-            raise FileNotFoundError(f"caption features not found: {caption.caption_id}")
-        matrix = read_matrix(path).astype(np.float64)
-        if self._dim is None:
-            self._dim = matrix.shape[1]
-        elif matrix.shape[1] != self._dim:
-            raise ValueError(
-                f"caption {caption.caption_id}: token width {matrix.shape[1]} "
-                f"differs from provider width {self._dim}")
-        if not np.isfinite(matrix).all():
-            raise ValueError(f"corrupt text record: caption {caption.caption_id}")
-        return TextEmbedding(caption.caption_id, matrix,
-                             np.ones(matrix.shape[0], dtype=bool))
 
 
 def gather_clip(store, sample_id: str, experts: tuple[str, ...],

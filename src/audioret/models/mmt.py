@@ -64,8 +64,7 @@ class _Block:
         self.ff1 = Linear(dim, ff_dim, rng)
         self.ff2 = Linear(ff_dim, dim, rng)
 
-    def __call__(self, x: ad.Tensor, offsets, attn_sink: list | None = None,
-                 keep=None) -> ad.Tensor:
+    def __call__(self, x: ad.Tensor, offsets, keep=None) -> ad.Tensor:
         """x stacks every item's sequence; attention stays inside each
         item's rows offsets[i]:offsets[i + 1], and every dense layer runs
         one GEMM per item. With keep = (rows, keep_offsets), only those
@@ -78,7 +77,7 @@ class _Block:
             rows, q_offsets = keep
             x, h = ad.take_rows(x, rows), ad.take_rows(h, rows)
         context = ad.segment_attention(self.wq(h, q_offsets), k, v, offsets,
-                                       self.heads, attn_sink, q_offsets)
+                                       self.heads, q_offsets)
         x = ad.add(x, self.wo(context, q_offsets))
         h = ad.layernorm(x, self.ln2_g, self.ln2_b, LN_EPS)
         return ad.add(x, self.ff2(ad.relu(self.ff1(h, q_offsets)), q_offsets))
@@ -114,15 +113,14 @@ class MmtModel:
 
     # -- audio side ----------------------------------------------------
 
-    def encode_audio(self, streams: list, attn_sink: list | None = None):
+    def encode_audio(self, streams: list):
         """Encode a list of stream mappings into an AudioBatch of final
         aggregation-token states.
 
         Projections, LayerNorm and feed-forward layers run once over all
         items' concatenated valid frames; the last block computes only the
-        aggregation rows past its keys and values. `attn_sink` receives,
-        per block and item, one matrix per head: sequence x sequence,
-        except in the last block, where it is present experts x sequence.
+        aggregation rows past its keys and values: each item's present
+        experts attend over its whole sequence.
         """
         experts = self.cfg.experts
         present, rows = gather_streams(experts, streams)
@@ -158,9 +156,9 @@ class MmtModel:
             offsets.append(len(order))
         x = ad.take_rows(ad.concat(parts, axis=0), order)
         for block in self.blocks[:-1]:
-            x = block(x, offsets, attn_sink)
+            x = block(x, offsets)
         kept = np.cumsum([0] + present.sum(axis=1).tolist())  # kept-row offsets
-        x = (self.blocks[-1](x, offsets, attn_sink, (agg_rows, kept))
+        x = (self.blocks[-1](x, offsets, (agg_rows, kept))
              if self.blocks else ad.take_rows(x, agg_rows))
         vectors = ad.place_rows(x, np.nonzero(present),
                                 present.shape + (self.cfg.model_dim,))

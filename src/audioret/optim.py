@@ -52,6 +52,8 @@ WIDE_CHUNK = 2 * CHUNK
 # the gradient slice of a parameter that has none, read by every share
 _ZEROS = np.zeros(WIDE_CHUNK)
 _ZEROS.flags.writeable = False
+# the moment decay rates and the denominator's guard of every Adam
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 def _shares(sizes: list[int], width: int) -> list[list[tuple[int, int, int]]]:
@@ -108,7 +110,6 @@ class Adam:
     formulas (see the module docstring)."""
 
     def __init__(self, params: dict[str, ad.Tensor], lr: float,
-                 betas=(0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
         if lr <= 0:
             raise ValueError("lr must be positive")
@@ -117,8 +118,6 @@ class Adam:
             if not p.data.flags.c_contiguous:
                 raise ValueError(f"parameter {name!r} is not C-contiguous")
         self.lr = float(lr)
-        self.beta1, self.beta2 = (float(b) for b in betas)
-        self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -139,7 +138,7 @@ class Adam:
         g += wd * x; m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g; then
         x -= scale * mhat / (sqrt(vhat) + eps), or x -= scale * mhat when
         not `adaptive`."""
-        b1, b2, wd, eps = self.beta1, self.beta2, self.weight_decay, self.eps
+        b1, b2, wd, eps = BETA1, BETA2, self.weight_decay, EPS
         c1, c2 = 1.0 - b1, 1.0 - b2
         bias1, bias2 = 1.0 - b1 ** self.t, 1.0 - b2 ** self.t
         flat = [(p.data.reshape(-1), self.m[name].reshape(-1),
@@ -187,7 +186,7 @@ class RAdam(Adam):
 
     def step(self) -> None:
         self.t += 1
-        b2 = self.beta2
+        b2 = BETA2
         rho_inf = 2.0 / (1.0 - b2) - 1.0
         bias2 = 1.0 - b2 ** self.t
         rho_t = rho_inf - 2.0 * self.t * b2 ** self.t / bias2

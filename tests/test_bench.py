@@ -163,7 +163,7 @@ def test_experiment_requires_dataset_and_arch():
     with pytest.raises(ValueError, match="missing experiment.dataset"):
         bn.experiment_from_sections({"experiment": {"arch": "moee",
                                                     "experts": "ea"}})
-    with pytest.raises(ValueError, match="missing experiment.architecture"):
+    with pytest.raises(ValueError, match="missing experiment.arch$"):
         bn.experiment_from_sections({"experiment": {"dataset": "synthetic",
                                                     "experts": "ea"}})
 
@@ -1215,6 +1215,20 @@ def test_cli_config_typo_exits_one_before_writing(tmp_path, capsys, extra,
     assert cli_main(["scale", "--config", str(cfg_path)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("key", ["architecture", "out_dir"])
+def test_cli_long_experiment_key_exits_one_before_writing(tmp_path, capsys,
+                                                         key):
+    """`arch` and `out` are the experiment keys' only spellings."""
+    other = tmp_path / "elsewhere"
+    value = "ce" if key == "architecture" else other
+    cfg_path = tmp_path / "exp.cfg"
+    _write_experiment_cfg(cfg_path, tmp_path / "runs",
+                          extra=f"experiment.{key} = {value}\n")
+    assert cli_main(["benchmark", "--config", str(cfg_path)]) == 1
+    assert f"error: unknown experiment key '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists() and not other.exists()
 
 
 def test_cli_reports_errors_with_exit_one(capsys):

@@ -1,13 +1,11 @@
-"""Checkpoint format: round trips, mapped loads, version 1 archives and
+"""Checkpoint format: round trips, mapped loads, older files and
 corruption handling."""
 
 import json
 import os
-import struct
 import subprocess
 import sys
 import zipfile
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,38 +14,10 @@ import pytest
 from audioret import blas
 from audioret import training as tr
 from audioret.checkpoint import ALIGN, MAGIC, load_checkpoint, save_checkpoint
-from audioret.evaluation import report_to_dict
-from audioret.experts import encode_matrix
+from audioret.cli import main as cli_main
 from audioret.models import build_model
 from audioret.synthetic import make_synthetic_benchmark
 from test_training import tiny_model, _train_cfg
-
-
-def save_v1(ckpt, path):
-    """Write `ckpt` as the version 1 writer did: a stored (uncompressed) zip
-    of the JSON manifest and each tensor as a float32 store matrix."""
-    manifest = {
-        "format": "audioret-checkpoint",
-        "version": 1,
-        "architecture": ckpt.architecture,
-        "experts": list(ckpt.model_config["experts"]),
-        "model_config": ckpt.model_config,
-        "train_config": asdict(ckpt.train_config),
-        "seed": ckpt.train_config.seed,
-        "selection_score": ckpt.selection_score,
-        "best_step": ckpt.best_step,
-        "history": [[step, report_to_dict(rep)] for step, rep in ckpt.history],
-        "tensors": {name: list(arr.shape) for name, arr in ckpt.params.items()},
-        "blas": ckpt.blas,
-    }
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as archive:
-        archive.writestr("manifest.json", json.dumps(manifest, indent=1,
-                                                     sort_keys=True))
-        for name, arr in sorted(ckpt.params.items()):
-            rows = arr.shape[0] if arr.ndim > 1 else 1  # a vector is 1 x N
-            archive.writestr(f"params/{name}.mat",
-                             encode_matrix(np.reshape(arr, (rows, -1))))
-    return path
 
 
 def split_v2(path):
@@ -92,28 +62,6 @@ class TestRoundTrip:
         assert ckpt.blas == blas.describe()
         back = load_checkpoint(save_checkpoint(ckpt, tmp_path / "m.ckpt"))
         assert back.blas == ckpt.blas
-
-    def test_tensors_survive_at_storage_precision(self, trained, tmp_path):
-        """A version 1 archive stores float32: it loads at that precision."""
-        _, ckpt = trained
-        back = load_checkpoint(save_v1(ckpt, tmp_path / "m.ckpt"))
-        assert sorted(back.params) == sorted(ckpt.params)
-        for name, arr in ckpt.params.items():
-            assert back.params[name].shape == arr.shape
-            np.testing.assert_array_equal(
-                back.params[name], arr.astype("<f4").astype(np.float64))
-
-    def test_members_are_store_matrices(self, trained, tmp_path):
-        """Each tensor is a store matrix: a vector 1 x N, any other rank its
-        leading axis by the rest, float32 little-endian (version 1)."""
-        _, ckpt = trained
-        path = save_v1(ckpt, tmp_path / "m.ckpt")
-        with zipfile.ZipFile(path) as archive:
-            for name, arr in ckpt.params.items():
-                rows = arr.shape[0] if arr.ndim > 1 else 1
-                want = (b"XFEAT1" + struct.pack("<II", rows, arr.size // rows)
-                        + arr.astype("<f4").tobytes())
-                assert archive.read(f"params/{name}.mat") == want, name
 
     def test_rebuilt_model_scores_like_original(self, trained, tmp_path):
         bench, ckpt = trained
@@ -247,84 +195,40 @@ def test_load_copies_no_tensor(tmp_path):
 
 
 class TestOlderArchives:
-    def _rewrite(self, path, out, compression, edit=None):
-        with zipfile.ZipFile(path) as archive, \
-                zipfile.ZipFile(out, "w", compression=compression) as copy:
-            for name in archive.namelist():
-                blob = archive.read(name)
-                if name == "manifest.json" and edit is not None:
-                    manifest = json.loads(blob)
-                    edit(manifest)
-                    blob = json.dumps(manifest)
-                copy.writestr(name, blob)
-        return out
-
-    def test_tensors_are_stored_uncompressed(self, trained, tmp_path):
-        _, ckpt = trained
-        path = save_v1(ckpt, tmp_path / "m.ckpt")
-        with zipfile.ZipFile(path) as archive:
-            kinds = {info.compress_type for info in archive.infolist()}
-        assert kinds == {zipfile.ZIP_STORED}
-
-    def test_deflated_archive_loads_bit_for_bit(self, trained, tmp_path):
-        _, ckpt = trained
-        path = save_v1(ckpt, tmp_path / "m.ckpt")
-        deflated = self._rewrite(path, tmp_path / "deflated.ckpt",
-                                 zipfile.ZIP_DEFLATED)
-        with zipfile.ZipFile(deflated) as archive:
-            kinds = {info.compress_type for info in archive.infolist()}
-        assert kinds == {zipfile.ZIP_DEFLATED}
-        want, got = load_checkpoint(path), load_checkpoint(deflated)
-        assert sorted(got.params) == sorted(want.params)
-        for name, arr in want.params.items():
-            np.testing.assert_array_equal(got.params[name], arr)
-        assert got.train_config == want.train_config
-        assert got.history == want.history
-
-    def test_manifest_with_checkpoint_every_loads(self, trained, tmp_path):
-        _, ckpt = trained
-        path = save_v1(ckpt, tmp_path / "m.ckpt")
-        old = self._rewrite(
-            path, tmp_path / "old.ckpt", zipfile.ZIP_DEFLATED,
-            edit=lambda m: m["train_config"].update(checkpoint_every=None))
-        with zipfile.ZipFile(old) as archive:
-            manifest = json.loads(archive.read("manifest.json"))
-        assert manifest["train_config"]["checkpoint_every"] is None
-        back = load_checkpoint(old)
-        assert back.train_config == ckpt.train_config
-
     def test_manifest_with_log_path_loads(self, trained, tmp_path):
-        """Files of either version written before train.log_path was
-        retired hold it in their train config; they load without it."""
+        """Files written before train.log_path was retired hold it in their
+        train config; they load without it."""
         _, ckpt = trained
-        old_v1 = self._rewrite(
-            save_v1(ckpt, tmp_path / "m.ckpt"), tmp_path / "old1.ckpt",
-            zipfile.ZIP_STORED,
-            edit=lambda m: m["train_config"].update(log_path="train.log"))
-        manifest, data = split_v2(save_checkpoint(ckpt, tmp_path / "m2.ckpt"))
+        manifest, data = split_v2(save_checkpoint(ckpt, tmp_path / "m.ckpt"))
         assert "log_path" not in manifest["train_config"]
         manifest["train_config"]["log_path"] = None
-        old_v2 = write_v2(tmp_path / "old2.ckpt", manifest, data)
-        for path in (old_v1, old_v2):
-            assert load_checkpoint(path).train_config == ckpt.train_config
+        old = write_v2(tmp_path / "old.ckpt", manifest, data)
+        assert load_checkpoint(old).train_config == ckpt.train_config
 
     def test_manifest_without_blas_loads_with_none(self, trained, tmp_path):
         _, ckpt = trained
-        path = save_v1(ckpt, tmp_path / "m.ckpt")
-        old = self._rewrite(path, tmp_path / "old.ckpt", zipfile.ZIP_STORED,
-                            edit=lambda m: m.pop("blas"))
-        with zipfile.ZipFile(old) as archive:
-            assert "blas" not in json.loads(archive.read("manifest.json"))
-        back = load_checkpoint(old)
+        manifest, data = split_v2(save_checkpoint(ckpt, tmp_path / "m.ckpt"))
+        del manifest["blas"]
+        back = load_checkpoint(write_v2(tmp_path / "old.ckpt", manifest, data))
         assert back.blas is None
         assert back.train_config == ckpt.train_config
 
+    def test_version_1_zip_rejected(self, trained, tmp_path, capsys):
+        """A version 1 file, a zip of its manifest and float32 tensors, is
+        refused by its zip signature; the command line exits 1."""
+        manifest, _ = split_v2(save_checkpoint(trained[1], tmp_path / "m.ckpt"))
+        manifest["version"] = 1
+        path = tmp_path / "old.ckpt"
+        with zipfile.ZipFile(path, "w") as archive:
+            archive.writestr("manifest.json", json.dumps(manifest))
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            load_checkpoint(path)
+        assert cli_main(["search", "rain", "--checkpoint", str(path),
+                         "--dataset", "synthetic"]) == 1
+        assert "error: unsupported checkpoint version 1" in capsys.readouterr().err
+
 
 class TestCorruption:
-    def _saved(self, trained, tmp_path):
-        _, ckpt = trained
-        return save_v1(ckpt, tmp_path / "m.ckpt"), ckpt
-
     def _saved_v2(self, trained, tmp_path):
         """A saved file's manifest, tensor bytes and largest tensor's name."""
         _, ckpt = trained
@@ -407,78 +311,8 @@ class TestCorruption:
         with pytest.raises(ValueError, match="does not match manifest shape"):
             load_checkpoint(out)
 
-    def test_not_a_zip(self, tmp_path):
+    def test_unrecognised_bytes_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not an archive")
         with pytest.raises(ValueError, match="not a checkpoint archive"):
             load_checkpoint(path)
-
-    def test_zip_without_manifest(self, tmp_path):
-        path = tmp_path / "empty.ckpt"
-        with zipfile.ZipFile(path, "w") as archive:
-            archive.writestr("readme.txt", "hello")
-        with pytest.raises(ValueError, match="no manifest"):
-            load_checkpoint(path)
-
-    def test_foreign_manifest_rejected(self, tmp_path):
-        path = tmp_path / "foreign.ckpt"
-        with zipfile.ZipFile(path, "w") as archive:
-            archive.writestr("manifest.json", json.dumps({"format": "other"}))
-        with pytest.raises(ValueError, match="not a checkpoint archive"):
-            load_checkpoint(path)
-
-    def test_future_version_rejected(self, trained, tmp_path):
-        path, _ = self._saved(trained, tmp_path)
-        with zipfile.ZipFile(path) as archive:
-            manifest = json.loads(archive.read("manifest.json"))
-            members = {n: archive.read(n) for n in archive.namelist()}
-        manifest["version"] = 99
-        members["manifest.json"] = json.dumps(manifest)
-        out = tmp_path / "future.ckpt"
-        with zipfile.ZipFile(out, "w") as archive:
-            for name, blob in members.items():
-                archive.writestr(name, blob)
-        with pytest.raises(ValueError, match="version"):
-            load_checkpoint(out)
-
-    def test_missing_tensor_rejected(self, trained, tmp_path):
-        path, ckpt = self._saved(trained, tmp_path)
-        victim = sorted(ckpt.params)[0]
-        out = tmp_path / "short.ckpt"
-        with zipfile.ZipFile(path) as archive, \
-                zipfile.ZipFile(out, "w") as copy:
-            for name in archive.namelist():
-                if name != f"params/{victim}.mat":
-                    copy.writestr(name, archive.read(name))
-        with pytest.raises(ValueError, match="missing"):
-            load_checkpoint(out)
-
-    def test_bad_magic_names_tensor(self, trained, tmp_path):
-        path, ckpt = self._saved(trained, tmp_path)
-        victim = sorted(ckpt.params)[0]
-        out = tmp_path / "garbled.ckpt"
-        with zipfile.ZipFile(path) as archive, \
-                zipfile.ZipFile(out, "w") as copy:
-            for name in archive.namelist():
-                blob = archive.read(name)
-                if name == f"params/{victim}.mat":
-                    blob = b"NOTFMT" + blob[6:]
-                copy.writestr(name, blob)
-        with pytest.raises(ValueError, match=f"bad magic in checkpoint tensor {victim}"):
-            load_checkpoint(out)
-
-    def test_shape_mismatch_rejected(self, trained, tmp_path):
-        path, ckpt = self._saved(trained, tmp_path)
-        victim = sorted(ckpt.params)[0]
-        out = tmp_path / "reshaped.ckpt"
-        with zipfile.ZipFile(path) as archive, \
-                zipfile.ZipFile(out, "w") as copy:
-            manifest = json.loads(archive.read("manifest.json"))
-            manifest["tensors"][victim] = [1, 1, 7]
-            for name in archive.namelist():
-                if name == "manifest.json":
-                    copy.writestr(name, json.dumps(manifest))
-                else:
-                    copy.writestr(name, archive.read(name))
-        with pytest.raises(ValueError, match="does not match manifest"):
-            load_checkpoint(out)

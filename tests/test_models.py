@@ -345,16 +345,6 @@ class TestMmt:
         out = model.encode_audio([{"p": rng.standard_normal((3, 4))}])
         np.testing.assert_array_equal(out.vectors.data[0, 0], model.agg["p"].data)
 
-    def test_attention_rows_sum_to_one(self):
-        rng = np.random.default_rng(2)
-        model = _mmt(rng, layers=2)
-        sink: list = []
-        model.encode_audio([{"p": rng.standard_normal((4, 4)),
-                             "q": rng.standard_normal((2, 3))}], attn_sink=sink)
-        assert len(sink) == 2 * model.cfg.heads
-        for attn in sink:
-            np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
-
     def test_convex_weights(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -775,8 +765,7 @@ def _mmt_batch_with_missing_expert(rng, model):
 
 def test_mmt_last_block_computes_only_aggregation_rows(monkeypatch):
     """In the last block, wq, wo, ff1 and ff2 see one row per present
-    (item, expert) and wk and wv every row; earlier blocks see every row.
-    The last block's attention matrices are present experts x sequence."""
+    (item, expert) and wk and wv every row; earlier blocks see every row."""
     rng = np.random.default_rng(970)
     model = _mmt(rng, layers=2)
     streams = _mmt_batch_with_missing_expert(rng, model)
@@ -793,18 +782,11 @@ def test_mmt_last_block_computes_only_aggregation_rows(monkeypatch):
         return stacked_matmul(x, w, *rest)
 
     monkeypatch.setattr(ad, "stacked_matmul", spy)
-    sink: list = []
-    model.encode_audio(streams, attn_sink=sink)
+    model.encode_audio(streams)
     for layer in ("wq", "wk", "wv", "wo", "ff1", "ff2"):
         assert rows[f"block.0.{layer}.w"] == sum(lengths)
         last = sum(lengths) if layer in ("wk", "wv") else present
         assert rows[f"block.1.{layer}.w"] == last
-    heads = model.cfg.heads
-    assert len(sink) == 2 * len(streams) * heads
-    for b, (item, n) in enumerate(zip(streams, lengths)):
-        for attn in sink[(len(streams) + b) * heads:][:heads]:
-            assert attn.shape == (len(item), n)
-            np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("layers", [0, 1, 3])

@@ -1,6 +1,9 @@
-"""tools/bench_pairs.py's summary of alternating parent/change runs."""
+"""tools/bench_pairs.py's summary of alternating parent/change runs, and a
+guard against definitions in src/ that only tests reach."""
 
+import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -162,3 +165,29 @@ def test_summary_needs_paired_runs():
 
 def test_seed_ranges():
     assert bench_pairs.parse_seeds("5-7,9") == [5, 6, 7, 9]
+
+
+def test_every_src_definition_is_named_outside_tests():
+    """Each top-level function and class in src/ is named, as a word, in
+    src/, demos/, perfbench/ or tools/ outside its own definition, so no
+    route in src/ is reached only by tests."""
+    root = _PATH.parents[1]
+    texts = {path: path.read_text()
+             for top in ("src", "demos", "perfbench", "tools")
+             for path in sorted((root / top).rglob("*.py"))
+             if "tests" not in path.relative_to(root).parts}
+    unnamed = []
+    for path, text in texts.items():
+        if path.relative_to(root).parts[0] != "src":
+            continue
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            word = re.compile(rf"\b{node.name}\b")
+            own = "\n".join(lines[node.lineno - 1:node.end_lineno])
+            named = sum(len(word.findall(other)) for other in texts.values())
+            if named == len(word.findall(own)):
+                unnamed.append(f"{path.relative_to(root)}:{node.lineno} {node.name}")
+    assert unnamed == []
