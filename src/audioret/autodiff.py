@@ -692,16 +692,6 @@ def sigmoid(a) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def backward(g):
-        return (g * out,)
-
-    return _make(out, (a,), backward)
-
-
 def sqrt(a) -> Tensor:
     a = as_tensor(a)
     out = np.sqrt(a.data)

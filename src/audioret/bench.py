@@ -44,7 +44,8 @@ DATA_ENV = "AUDIORET_DATA_ROOT"
 # 6: a batch of one item multiplies its rows by GEMV, not einsum.
 # 7: validation encodes every chunk on one pinned BLAS thread.
 # 8: train() drops train captions with no in-vocabulary token.
-NUMERICS_VERSION = 8
+# 9: a study's unset caps take their dataset defaults key by key.
+NUMERICS_VERSION = 9
 
 DEFAULT_SEEDS = (0, 1, 2)
 DEFAULT_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
@@ -271,11 +272,12 @@ def _build_configs(cfg: ExperimentConfig, seed: int) -> tuple[TrainConfig, LossC
         train_kw.pop("epochs", None)  # config switched the budget type
     if "epochs" in cfg.train and "steps" not in cfg.train:
         train_kw.pop("steps", None)
-    if cfg.dataset in tr.DATASET_CAPS and "frame_caps" not in train_kw:
+    if cfg.dataset in tr.DATASET_CAPS:  # each cap left unset: its default
         words, frames = tr.default_caps(cfg.dataset, cfg.architecture)
         train_kw.setdefault("word_cap", words)
         train_kw["frame_caps"] = {e: c for e, c in frames.items()
-                                  if e in cfg.experts}
+                                  if e in cfg.experts} | train_kw.get(
+                                      "frame_caps", {})
     train_cfg = TrainConfig(architecture=cfg.architecture, seed=seed, **train_kw)
     loss_kw = dict(margin=margin, batch_size=batch) | dict(cfg.loss)
     return train_cfg, LossConfig(**loss_kw)
@@ -298,11 +300,12 @@ def _check_config(cfg: ExperimentConfig, bundle: DataBundle) -> None:
         raise ValueError(f"expert not available for {cfg.dataset}: {missing[0]!r}")
 
 
-def _build_model(cfg: ExperimentConfig, bundle: DataBundle, seed: int):
+def _build_model(cfg: ExperimentConfig, bundle: DataBundle, rng):
+    """The run's model drawn from `rng`; training._Undrawn() draws none."""
     _check_config(cfg, bundle)
     dims = {e: bundle.expert_dims[e] for e in cfg.experts}
     return md.build_model(cfg.architecture, cfg.experts, dims, bundle.text_dim,
-                          np.random.default_rng(seed), dict(cfg.model))
+                          rng, dict(cfg.model))
 
 
 def evaluate_checkpoint(ckpt: Checkpoint, bundle: DataBundle,
@@ -358,8 +361,9 @@ class RunDir:
 
 def _train_new(cfg: ExperimentConfig, data: DataBundle, seed: int) -> Checkpoint:
     train_cfg, loss_cfg = _build_configs(cfg, seed)
-    return tr.train(_build_model(cfg, data, seed), data.corpus, data.store,
-                    data.text_source, train_cfg, loss_cfg)
+    return tr.train(_build_model(cfg, data, np.random.default_rng(seed)),
+                    data.corpus, data.store, data.text_source, train_cfg,
+                    loss_cfg)
 
 
 def run_single(cfg: ExperimentConfig, bundle: DataBundle, seed: int,
@@ -441,15 +445,24 @@ class _Row:
 def _run_study(cfg: ExperimentConfig, bundle: DataBundle, rows: list[_Row],
                extra: dict | None = None) -> ResultTable:
     """Every row's seeds through run_single, evaluated on `bundle`; the
-    table is saved once, under cfg.run_key(extra)."""
-    for row in rows:  # fail on a typo or a bad value before any row trains
-        _check_config(row.cfg, row.train_data or bundle)
-        if row.source is not None:
-            _check_config(*row.source)
-        for seed in row.cfg.seeds[:1]:
-            _build_configs(row.cfg, seed)
-            if row.source is not None:
-                _build_configs(row.source[0], seed)
+    table is saved once, under cfg.run_key(extra). Before any RunDir is
+    written, every row and its source are checked: keys, experts, model
+    values (the model is built, drawing nothing), TrainConfig and
+    LossConfig values, and that a source has the train data's widths."""
+    for row in rows:
+        data = row.train_data or bundle
+        source = [row.source] if row.source else []
+        for run_cfg, run_data in [(row.cfg, data)] + source:
+            _build_model(run_cfg, run_data, tr._Undrawn())
+            for seed in run_cfg.seeds[:1]:
+                _build_configs(run_cfg, seed)
+        for _, src in source:  # finetune continues the source's own model
+            for name, got, want in [("text", src.text_dim, data.text_dim)] + [
+                    (f"expert {e!r}", src.expert_dims[e], data.expert_dims[e])
+                    for e in row.cfg.experts]:
+                if got != want:
+                    raise ValueError(f"transfer width mismatch for {name}: "
+                                     f"source {got}, target {want}")
     table, row_dirs = ResultTable([]), set()
     for row in rows:
         run_dir = RunDir(row.cfg, row.extra)

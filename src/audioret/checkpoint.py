@@ -103,7 +103,8 @@ def load_checkpoint(path: Path | str) -> Checkpoint:
             raise ValueError(f"not a checkpoint archive: {path}")
         manifest, params = _read_v2(f, path)
     cfg_dict = manifest["train_config"]
-    cfg_dict.pop("log_path", None)  # retired after format 2
+    for key in ("log_path", "lr_decay", "lookahead_k", "lookahead_alpha"):
+        cfg_dict.pop(key, None)  # retired after format 2
     cfg_dict["frame_caps"] = {k: int(v)
                               for k, v in (cfg_dict.get("frame_caps") or {}).items()}
     train_config = TrainConfig(**cfg_dict)

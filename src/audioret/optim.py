@@ -5,7 +5,9 @@ training run is bit-reproducible given the same gradient sequence. The
 rectified scheme follows the variance-rectification rule (warmup-free
 adaptive moments that fall back to momentum SGD while the variance
 estimate is untrustworthy); the slow/fast weight wrapper interpolates
-toward the exploring inner optimizer every k steps.
+toward the exploring inner optimizer every LOOKAHEAD_K steps. A caller
+picks the rule, the learning rate and the weight decay; the rules' other
+constants (BETA1, BETA2, EPS, LOOKAHEAD_K, LOOKAHEAD_ALPHA) are fixed.
 
 Every update runs in place, chunk by chunk: each parameter and its state
 are walked as flat row-major arrays in slices of CHUNK elements, and each
@@ -54,6 +56,8 @@ _ZEROS = np.zeros(WIDE_CHUNK)
 _ZEROS.flags.writeable = False
 # the moment decay rates and the denominator's guard of every Adam
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+# Lookahead's sync period (inner steps) and its step toward the fast weights
+LOOKAHEAD_K, LOOKAHEAD_ALPHA = 5, 0.5
 
 
 def _shares(sizes: list[int], width: int) -> list[list[tuple[int, int, int]]]:
@@ -199,17 +203,12 @@ class RAdam(Adam):
 
 
 class Lookahead:
-    """Slow/fast weight wrapper: every k inner steps the slow weights move
-    a fraction alpha toward the fast ones, and the fast weights reset."""
+    """Slow/fast weight wrapper: every LOOKAHEAD_K inner steps the slow
+    weights move a fraction LOOKAHEAD_ALPHA toward the fast ones, and the
+    fast weights reset."""
 
-    def __init__(self, inner, k: int = 5, alpha: float = 0.5):
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
+    def __init__(self, inner):
         self.inner = inner
-        self.k = int(k)
-        self.alpha = float(alpha)
         self.t = 0
         self.slow = {name: p.data.copy() for name, p in inner.params.items()}
         self._scratch = _share_scratch(self.params, 1)
@@ -232,7 +231,7 @@ class Lookahead:
     def step(self) -> None:
         self.inner.step()
         self.t += 1
-        if self.t % self.k == 0:
+        if self.t % LOOKAHEAD_K == 0:
             flat = [(p.data.reshape(-1), self.slow[name].reshape(-1))
                     for name, p in self.params.items()]
 
@@ -243,7 +242,7 @@ class Lookahead:
                     xc, sc = x[start:end], s[start:end]
                     dc = scratch[0, : end - start]
                     np.subtract(xc, sc, out=dc)
-                    np.multiply(dc, self.alpha, out=dc)
+                    np.multiply(dc, LOOKAHEAD_ALPHA, out=dc)
                     np.add(sc, dc, out=sc)
                     xc[...] = sc
 
@@ -251,14 +250,12 @@ class Lookahead:
 
 
 def build_optimizer(kind: str, params: dict[str, ad.Tensor], lr: float,
-                    weight_decay: float = 0.0, lookahead_k: int = 5,
-                    lookahead_alpha: float = 0.5):
+                    weight_decay: float = 0.0):
     """Construct one of the supported update rules by name."""
     if kind == "adam":
         return Adam(params, lr=lr, weight_decay=weight_decay)
     if kind == "radam":
         return RAdam(params, lr=lr, weight_decay=weight_decay)
     if kind == "lookahead_radam":
-        return Lookahead(RAdam(params, lr=lr, weight_decay=weight_decay),
-                         k=lookahead_k, alpha=lookahead_alpha)
+        return Lookahead(RAdam(params, lr=lr, weight_decay=weight_decay))
     raise ValueError(f"unknown optimizer {kind!r}")

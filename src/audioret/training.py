@@ -24,6 +24,8 @@ from .evaluation import MetricsReport, compute_metrics, t2a_ground_truth
 from .experts import AudioClip, TextEmbedding, gather_clip
 from .models.similarity import batch_scores, similarity_matrix
 
+LR_DECAY = 0.95  # the learning rate's factor per epoch or decay_every_steps
+
 # word cap and per-expert frame caps, keyed by dataset name
 DATASET_CAPS = {
     "audiocaps": (52, {"VGGish": 10, "VGGSound": 32}),
@@ -63,12 +65,9 @@ class TrainConfig:
     steps: int | None = None
     lr: float = 0.01
     weight_decay: float = 0.001
-    lr_decay: float = 0.95
     decay_every_steps: int | None = None  # None: decay once per epoch
     val_every_steps: int | None = None    # None: validate once per epoch
     optimizer: str = "lookahead_radam"
-    lookahead_k: int = 5
-    lookahead_alpha: float = 0.5
     seed: int = 0
     word_cap: int | None = None
     frame_caps: dict[str, int] = field(default_factory=dict)
@@ -78,8 +77,6 @@ class TrainConfig:
             raise ValueError(f"unknown architecture {self.architecture!r}")
         if (self.epochs is None) == (self.steps is None):
             raise ValueError("set exactly one of epochs/steps")
-        if not 0.0 < self.lr_decay <= 1.0:
-            raise ValueError("decay factor must be in (0, 1]")
         budget = self.epochs if self.epochs is not None else self.steps
         if budget < 0:
             raise ValueError("schedule budget must be >= 0")
@@ -154,16 +151,10 @@ def assemble_batches(pairs: list[tuple[str, str]], batch_size: int,
 # checkpoints and selection
 
 
-@dataclass
-class TransferReport:
-    reused: list[str]
-    reinitialized: list[str]
-    dropped: list[str]
-
-
 class _Undrawn:
     """Stands in for a random generator when building a model whose every
-    tensor is about to be replaced: `uniform` draws nothing and returns a
+    tensor is about to be replaced, or that is built only to run its
+    constructor's checks: `uniform` draws nothing and returns a
     zero-strided view of one zero, which allocates nothing."""
 
     @staticmethod
@@ -181,7 +172,6 @@ class Checkpoint:
     selection_score: float
     best_step: int
     log_lines: list[str] = field(default_factory=list)
-    transfer: TransferReport | None = None
     # blas.describe() where training ran; None for archives saved without it
     blas: dict | None = None
 
@@ -333,9 +323,7 @@ def train(model, corpus: Corpus, store, text_source, cfg: TrainConfig,
 
     params = model.named_parameters()
     opt = optim.build_optimizer(cfg.optimizer, params, cfg.lr,
-                                weight_decay=cfg.weight_decay,
-                                lookahead_k=cfg.lookahead_k,
-                                lookahead_alpha=cfg.lookahead_alpha)
+                                weight_decay=cfg.weight_decay)
 
     by_epoch = cfg.epochs is not None
     budget = cfg.epochs if by_epoch else cfg.steps
@@ -369,7 +357,7 @@ def train(model, corpus: Corpus, store, text_source, cfg: TrainConfig,
         texts = [train_texts[cid] for cid, _ in batch]
         clips = [train_clips[sid] for _, sid in batch]
         if not by_epoch:
-            opt.lr = scheduled_lr(cfg.lr, cfg.lr_decay, step // decay_every)
+            opt.lr = scheduled_lr(cfg.lr, LR_DECAY, step // decay_every)
         loss = ranking_loss(batch_scores(model, texts, clips), loss_cfg.margin)
         value = loss.item()
         if not np.isfinite(value):
@@ -392,7 +380,7 @@ def train(model, corpus: Corpus, store, text_source, cfg: TrainConfig,
         run_validation()
     elif by_epoch:
         for epoch in range(budget):
-            opt.lr = scheduled_lr(cfg.lr, cfg.lr_decay, epoch)
+            opt.lr = scheduled_lr(cfg.lr, LR_DECAY, epoch)
             batches = full_batches()
             for i, batch in enumerate(batches):
                 run_batch(batch, i == len(batches) - 1)
@@ -410,44 +398,15 @@ def train(model, corpus: Corpus, store, text_source, cfg: TrainConfig,
 
 
 def finetune(ckpt: Checkpoint, corpus: Corpus, store, text_source,
-             cfg: TrainConfig, loss_cfg: LossConfig,
-             experts: tuple[str, ...] | None = None) -> Checkpoint:
-    """Continue training from a checkpoint, possibly on fewer experts.
-
-    Parameters whose names and shapes carry over are copied; surplus
-    branches are dropped and incompatible ones freshly initialized, both
-    reported (and warned about) so silent mismatches cannot happen.
-    """
+             cfg: TrainConfig, loss_cfg: LossConfig) -> Checkpoint:
+    """Continue training the checkpoint's own model (rebuild): its experts,
+    widths and weights. Each parameter trains a writable copy of its
+    read-only view, so the checkpoint's arrays keep their values. A study
+    refuses a source with other widths before it writes (bench._run_study)."""
     if cfg.architecture != ckpt.architecture:
         raise ValueError(f"architecture mismatch: checkpoint is "
                          f"{ckpt.architecture}, config says {cfg.architecture}")
-    config = dict(ckpt.model_config)
-    if experts is not None:
-        known = set(config["experts"])
-        unknown = [e for e in experts if e not in known]
-        if unknown:
-            raise ValueError(f"checkpoint has no expert {unknown[0]!r}")
-        config["experts"] = list(experts)
-        config["expert_dims"] = {e: config["expert_dims"][e] for e in experts}
-    model = md.model_from_config(ckpt.architecture, config,
-                                 np.random.default_rng(cfg.seed))
-    target = model.named_parameters()
-    report = TransferReport([], [], [])
-    for name, arr in ckpt.params.items():
-        if name not in target:
-            report.dropped.append(name)
-        elif target[name].data.shape != arr.shape:
-            report.reinitialized.append(name)
-        else:
-            target[name].data[...] = arr
-            report.reused.append(name)
-    report.reinitialized += [n for n in target if n not in ckpt.params]
-    if report.dropped:
-        warnings.warn(f"dropping {len(report.dropped)} checkpoint tensors "
-                      f"with no slot in the target model (e.g. {report.dropped[0]})")
-    if report.reinitialized:
-        warnings.warn(f"freshly initializing {len(report.reinitialized)} "
-                      f"tensors (e.g. {report.reinitialized[0]})")
-    out = train(model, corpus, store, text_source, cfg, loss_cfg)
-    out.transfer = report
-    return out
+    model = ckpt.rebuild()
+    for p in model.named_parameters().values():
+        p.data = p.data.copy()
+    return train(model, corpus, store, text_source, cfg, loss_cfg)

@@ -59,7 +59,7 @@ class TestPrimitives:
             s = ad.tsum(x, axis=0)
             m = ad.tsum(x, axis=1, keepdims=True) * 0.25
             flat = ad.reshape(x - m, (12,))
-            return ad.tsum(ad.square(s)) + ad.tsum(ad.exp(flat * 0.1))
+            return ad.tsum(ad.square(s)) + ad.tsum(ad.sigmoid(flat * 0.1))
 
         check_gradients(build, {"x": x})
 
@@ -853,7 +853,7 @@ class TestEngine:
         def build():
             y = ad.sigmoid(x * c)
             return ad.tsum(ad.mul(ad.sigmoid(y), probes[0])) \
-                + ad.tsum(ad.mul(ad.exp(y), probes[1])) \
+                + ad.tsum(ad.mul(ad.sqrt(y), probes[1])) \
                 + ad.tsum(ad.mul(y, probes[2]))
 
         want = self._grads_by_plain_sums(build(), [x, c])

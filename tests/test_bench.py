@@ -65,7 +65,7 @@ def frozen_ckpt(bundle):
     """An untrained (zero-epoch) checkpoint for search/evaluation tests."""
     cfg = tiny_config("unused-dir", seeds=(0,), train={"epochs": 0})
     train_cfg, loss_cfg = bn._build_configs(cfg, 0)
-    model = bn._build_model(cfg, bundle, 0)
+    model = bn._build_model(cfg, bundle, np.random.default_rng(0))
     return tr.train(model, bundle.corpus, bundle.store, bundle.text_source,
                     train_cfg, loss_cfg)
 
@@ -332,10 +332,20 @@ def test_build_configs_fills_dataset_caps():
     assert train_cfg.word_cap is None and train_cfg.frame_caps == {}
 
 
+def test_unset_caps_take_their_dataset_defaults():
+    """A config that sets one frame cap keeps the dataset's word cap and
+    its cap for every other expert."""
+    cfg = tiny_config("runs", dataset="clotho", experts=("VGGish", "VGGSound"),
+                      train={"epochs": 1, "frame_caps": {"VGGish": 10}})
+    train_cfg, _ = bn._build_configs(cfg, seed=0)
+    assert train_cfg.word_cap == 21
+    assert train_cfg.frame_caps == {"VGGish": 10, "VGGSound": 95}
+
+
 def test_build_model_rejects_unavailable_expert(bundle):
     cfg = tiny_config("runs", experts=("ea", "zz"))
     with pytest.raises(ValueError, match="expert not available .* 'zz'"):
-        bn._build_model(cfg, bundle, seed=0)
+        bn._build_model(cfg, bundle, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -632,25 +642,44 @@ def test_every_row_checked_before_the_first_trains(bundle, tmp_path,
     assert not (tmp_path / "runs").exists()
 
 
+# the architecture, and its model section, that a model value is tried in
+_MODEL_VALUE_ARCH = {"heads": ("mmt", {}), "text_clusters": ("ce", TINY_MODEL)}
+
+
 @pytest.mark.parametrize("section, key, value, match", [
     ("train", "word_cap", -1, "word cap must be >= 1"),
     ("train", "word_cap", 0, "word cap must be >= 1"),
     ("train", "frame_caps", {"ea": 4, "eb": -2}, "frame cap for 'eb'"),
-    ("train", "lr_decay", 1.5, "decay factor"),
-    ("loss", "margin", 0.0, "margin must be positive")])
+    ("train", "lr_decay", 1.5, "unknown train key 'lr_decay'"),
+    ("loss", "margin", 0.0, "margin must be positive"),
+    ("model", "heads", 3, "model_dim must be divisible by heads"),
+    ("model", "text_clusters", 0, "need clusters >= 1"),
+    ("transfer", "text", 7, "width mismatch for text: source 7"),
+    ("transfer", "eb", 5, "width mismatch for expert 'eb': source 5")])
 def test_rejected_value_fails_before_any_run_dir(bundle, tmp_path, monkeypatch,
                                                  section, key, value, match):
-    """A value TrainConfig or LossConfig rejects fails the study before any
-    row trains or writes a RunDir, in the last row of an ablation too."""
+    """A value TrainConfig, LossConfig or a model's constructor rejects, or
+    a transfer source whose text or expert width (`value`) is not the
+    target's, fails the study before any row trains or writes a RunDir,
+    in the study's last row too."""
     monkeypatch.setattr(tr, "train", lambda *a, **kw: pytest.fail("trained"))
-    cfg = tiny_config(tmp_path / "runs")
-    getattr(cfg, section)[key] = value
-    with pytest.raises(ValueError, match=match):
-        bn.run_benchmark(cfg, data=bundle)
     good = tiny_config(tmp_path / "runs")
-    rows = [bn._Row("ok", good), bn._Row("bad", cfg)]
+    if section == "transfer":
+        source = (replace(bundle, text_dim=value) if key == "text" else
+                  replace(bundle, expert_dims=bundle.expert_dims | {key: value}))
+        with pytest.raises(ValueError, match=match):
+            bn.run_transfer(good, "clotho", data=bundle, source_data=source)
+        bad = bn._Row("bad", good, source=(good, source))
+    else:
+        arch, model = _MODEL_VALUE_ARCH.get(key, ("moee", TINY_MODEL))
+        cfg = tiny_config(tmp_path / "runs", architecture=arch,
+                          model=dict(model))
+        getattr(cfg, section)[key] = value
+        with pytest.raises(ValueError, match=match):
+            bn.run_benchmark(cfg, data=bundle)
+        bad = bn._Row("bad", cfg)
     with pytest.raises(ValueError, match=match):
-        bn._run_study(good, bundle, rows)
+        bn._run_study(good, bundle, [bn._Row("ok", good), bad])
     assert not (tmp_path / "runs").exists()
 
 

@@ -205,6 +205,17 @@ class TestOlderArchives:
         old = write_v2(tmp_path / "old.ckpt", manifest, data)
         assert load_checkpoint(old).train_config == ckpt.train_config
 
+    def test_manifest_with_retired_training_knobs_loads(self, trained,
+                                                        tmp_path):
+        """Files written while the learning-rate decay and Lookahead's k and
+        alpha were train config keys hold them; they load without them."""
+        _, ckpt = trained
+        manifest, data = split_v2(save_checkpoint(ckpt, tmp_path / "m.ckpt"))
+        manifest["train_config"].update(lr_decay=0.95, lookahead_k=5,
+                                        lookahead_alpha=0.5)
+        old = write_v2(tmp_path / "old.ckpt", manifest, data)
+        assert load_checkpoint(old).train_config == ckpt.train_config
+
     def test_manifest_without_blas_loads_with_none(self, trained, tmp_path):
         _, ckpt = trained
         manifest, data = split_v2(save_checkpoint(ckpt, tmp_path / "m.ckpt"))

@@ -3,7 +3,6 @@ guard against definitions in src/ that only tests reach."""
 
 import ast
 import importlib.util
-import re
 from pathlib import Path
 
 import pytest
@@ -167,27 +166,116 @@ def test_seed_ranges():
     assert bench_pairs.parse_seeds("5-7,9") == [5, 6, 7, 9]
 
 
+def _imports(tree, module: str | None, is_package: bool, modules):
+    """The file's names bound to an audioret module, local name -> module,
+    and its names imported from one, local name -> (module, name)."""
+    bound, imported = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in modules:
+                    local = alias.asname or alias.name.split(".")[0]
+                    bound[local] = alias.name if alias.asname else local
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative: from the module's package upwards
+                package = module.split(".")
+                package = package[:len(package) - node.level + is_package]
+                base = ".".join(package + ([base] if base else []))
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if f"{base}.{alias.name}" in modules:
+                    bound[local] = f"{base}.{alias.name}"
+                elif base in modules:
+                    imported[local] = (base, alias.name)
+    return bound, imported
+
+
+def _dotted(node) -> str | None:
+    """'a.b.c' for a chain of attributes on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return None if head is None else f"{head}.{node.attr}"
+    return None
+
+
 def test_every_src_definition_is_named_outside_tests():
-    """Each top-level function and class in src/ is named, as a word, in
-    src/, demos/, perfbench/ or tools/ outside its own definition, so no
-    route in src/ is reached only by tests."""
+    """Each top-level function and class in src/ is used outside its own
+    definition by src/, demos/, perfbench/, tools/ or the frozen
+    acceptance suite, so no route in src/ is reached only by the other
+    tests. A use is a bare name in the defining module or in a file that
+    imports it by name (through a package's re-export too), or `x.name`
+    where `x` is bound to the defining module; a word in a string or
+    comment, or an unrelated `np.name`, is none."""
     root = _PATH.parents[1]
-    texts = {path: path.read_text()
-             for top in ("src", "demos", "perfbench", "tools")
+    src = root / "src"
+    files = [path for top in ("src", "demos", "perfbench", "tools")
              for path in sorted((root / top).rglob("*.py"))
-             if "tests" not in path.relative_to(root).parts}
-    unnamed = []
-    for path, text in texts.items():
-        if path.relative_to(root).parts[0] != "src":
-            continue
-        lines = text.splitlines()
-        for node in ast.parse(text).body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
+             if "tests" not in path.relative_to(root).parts]
+    files.append(root / "tests" / "test_acceptance.py")
+    modules = {}  # dotted module name -> (path, parsed tree)
+    for path in files:
+        if path.is_relative_to(src):
+            parts = list(path.relative_to(src).with_suffix("").parts)
+            if parts[-1] == "__init__":
+                parts.pop()
+            modules[".".join(parts)] = (path, ast.parse(path.read_text()))
+    defs = {(name, node.name): node for name, (_, tree) in modules.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))}
+    reexports = {name: _imports(tree, name, path.name == "__init__.py",
+                                modules)[1]
+                 for name, (path, tree) in modules.items()}
+
+    def origin(module: str, name: str):
+        """The (module, name) a module's name is defined as, following
+        re-exports."""
+        seen = set()
+        while (module, name) not in defs and name in reexports[module]:
+            if (module, name) in seen:
+                break
+            seen.add((module, name))
+            module, name = reexports[module][name]
+        return module, name
+
+    uses = {key: 0 for key in defs}
+    for path in files:
+        own = next((name for name, (p, _) in modules.items() if p == path),
+                   None)
+        tree = (modules[own][1] if own is not None
+                else ast.parse(path.read_text()))
+        bound, imported = _imports(tree, own, path.name == "__init__.py",
+                                   modules)
+        inside = {(node.lineno, node.end_lineno): node.name
+                  for node in tree.body if (own, getattr(node, "name", None))
+                  in defs}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in imported:
+                    key = origin(*imported[node.id])
+                elif own is not None and (own, node.id) in defs:
+                    key = (own, node.id)
+                    if any(first <= node.lineno <= last and name == node.id
+                           for (first, last), name in inside.items()):
+                        continue  # a definition naming itself
+                else:
+                    continue
+            elif isinstance(node, ast.Attribute):
+                head = _dotted(node.value)
+                if head is None:
+                    continue
+                first, _, rest = head.partition(".")
+                module = ".".join(filter(None, [bound.get(first), rest]))
+                if first not in bound or module not in modules:
+                    continue
+                key = origin(module, node.attr)
+            else:
                 continue
-            word = re.compile(rf"\b{node.name}\b")
-            own = "\n".join(lines[node.lineno - 1:node.end_lineno])
-            named = sum(len(word.findall(other)) for other in texts.values())
-            if named == len(word.findall(own)):
-                unnamed.append(f"{path.relative_to(root)}:{node.lineno} {node.name}")
-    assert unnamed == []
+            if key in uses:
+                uses[key] += 1
+    unused = [f"{modules[module][0].relative_to(root)}:{node.lineno} {name}"
+              for (module, name), node in defs.items() if not uses[(module, name)]]
+    assert unused == []
