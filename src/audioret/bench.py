@@ -52,6 +52,9 @@ DEFAULT_FRACTIONS = (0.125, 0.25, 0.5, 1.0)
 SUBSAMPLE_SEED = 0  # the scale study's subsamples; its run keys name it
 # the one entry each study's config section holds
 STUDY_ENTRIES = {"ablate": "subsets", "transfer": "source", "scale": "fractions"}
+# keys an older config may still carry, and what took their place
+REMOVED_KEYS = {("train", "lr_decay"):
+                f"the decay factor is fixed at training.LR_DECAY = {tr.LR_DECAY}"}
 
 # per-architecture schedule defaults
 ARCH_DEFAULTS = {
@@ -294,7 +297,9 @@ def _check_config(cfg: ExperimentConfig, bundle: DataBundle) -> None:
         names = {f.name for f in known} - {"architecture", "seed"}
         unknown = sorted(set(getattr(cfg, section)) - names)
         if unknown:
-            raise ValueError(f"unknown {section} key {unknown[0]!r}")
+            note = REMOVED_KEYS.get((section, unknown[0]))
+            raise ValueError(f"unknown {section} key {unknown[0]!r}"
+                             + (f": {note}" if note else ""))
     missing = [e for e in cfg.experts if e not in bundle.expert_dims]
     if missing:
         raise ValueError(f"expert not available for {cfg.dataset}: {missing[0]!r}")

@@ -630,6 +630,17 @@ def test_unknown_run_key_fails_before_any_run_dir(bundle, tmp_path, section,
     assert not (tmp_path / "runs").exists()
 
 
+def test_removed_run_key_names_what_replaced_it(bundle, tmp_path):
+    """A key an older config may carry fails as unknown and says where its
+    value now comes from."""
+    cfg = tiny_config(tmp_path / "runs")
+    cfg.train["lr_decay"] = 0.9
+    with pytest.raises(ValueError, match="unknown train key 'lr_decay': "
+                       r"the decay factor is fixed at training\.LR_DECAY"):
+        bn.run_benchmark(cfg, data=bundle)
+    assert not (tmp_path / "runs").exists()
+
+
 def test_every_row_checked_before_the_first_trains(bundle, tmp_path,
                                                    monkeypatch):
     monkeypatch.setattr(tr, "train", lambda *a, **kw: pytest.fail("trained"))
@@ -650,7 +661,7 @@ _MODEL_VALUE_ARCH = {"heads": ("mmt", {}), "text_clusters": ("ce", TINY_MODEL)}
     ("train", "word_cap", -1, "word cap must be >= 1"),
     ("train", "word_cap", 0, "word cap must be >= 1"),
     ("train", "frame_caps", {"ea": 4, "eb": -2}, "frame cap for 'eb'"),
-    ("train", "lr_decay", 1.5, "unknown train key 'lr_decay'"),
+    ("train", "lr_decay", 1.5, "decay factor"),
     ("loss", "margin", 0.0, "margin must be positive"),
     ("model", "heads", 3, "model_dim must be divisible by heads"),
     ("model", "text_clusters", 0, "need clusters >= 1"),
